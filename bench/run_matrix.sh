@@ -1,16 +1,17 @@
 #!/bin/sh
 # Run the tier-1 test suites under every VM configuration the matrix
 # covers: optimization level (none / ea / pea) crossed with
-# interprocedural escape summaries (on / off) crossed with the execution
-# tier (closure / direct) crossed with on-stack replacement (on / off)
-# crossed with the compile mode (sync / replay); a separate sweep
-# toggles speculative guarded inlining (on / off) across the
-# configurations it interacts with. The suites read the forced
+# interprocedural escape summaries (on / off) crossed with on-stack
+# replacement (on / off) crossed with the compile mode (sync / replay);
+# a separate sweep toggles speculative guarded inlining (on / off)
+# across the optimization levels. The suites read the forced
 # configuration from MJVM_TEST_OPT / MJVM_TEST_SUMMARIES /
-# MJVM_TEST_EXEC_TIER / MJVM_TEST_OSR / MJVM_TEST_COMPILE_MODE /
-# MJVM_TEST_INLINING (see
-# test/test_env.ml); a differential or monotonicity failure in any cell
-# is a real bug in that configuration. Two extra cells re-run the
+# MJVM_TEST_OSR / MJVM_TEST_COMPILE_MODE / MJVM_TEST_INLINING (see
+# test/test_env.ml, which rejects unknown variables and values); a
+# differential or monotonicity failure in any cell is a real bug in
+# that configuration. Compiled code always runs on the closure tier;
+# its cost model is pinned to the Ir_exec reference graph by graph in
+# test/test_properties.ml. Two extra cells re-run the
 # default configuration with the stack-allocation tier forced off
 # (MJVM_TEST_STACKALLOC=off), alone and under the correctness tooling. Three final cells re-run the
 # default configuration with a global tracer installed
@@ -36,11 +37,14 @@
 # fast local defaults: every matrix cell runs 500+ random programs per
 # differential property.
 #
-# A second sweep re-runs the opt x tier x osr x compile-mode matrix with
+# A second sweep re-runs the opt x osr x compile-mode matrix with
 # the correctness tooling forced on (MJVM_TEST_CHECK_LEVEL=every-phase,
 # MJVM_TEST_ORACLE=on): the speculation-safety verifier audits the deopt
 # metadata after every optimization phase and the oracle bisimulates
 # every deoptimization against a shadow interpreter replay.
+#
+# Cells: 24 (opt x summaries x osr x mode) + 6 (inlining x opt) + 12
+# (verify: opt x osr x mode) + 8 single cells = 50.
 #
 # Usage: bench/run_matrix.sh   (from the repository root)
 
@@ -75,51 +79,41 @@ run_cell() {
 
 for opt in none ea pea; do
   for summaries in on off; do
-    for tier in closure direct; do
-      for osr in on off; do
-        for mode in sync replay; do
-          run_cell "opt=$opt summaries=$summaries exec-tier=$tier osr=$osr compile-mode=$mode" \
-            "MJVM_TEST_OPT=$opt" "MJVM_TEST_SUMMARIES=$summaries" \
-            "MJVM_TEST_EXEC_TIER=$tier" "MJVM_TEST_OSR=$osr" \
-            "MJVM_TEST_COMPILE_MODE=$mode"
-        done
+    for osr in on off; do
+      for mode in sync replay; do
+        run_cell "opt=$opt summaries=$summaries osr=$osr compile-mode=$mode" \
+          "MJVM_TEST_OPT=$opt" "MJVM_TEST_SUMMARIES=$summaries" \
+          "MJVM_TEST_OSR=$osr" "MJVM_TEST_COMPILE_MODE=$mode"
       done
     done
   done
 done
 
 # Speculative-inlining sweep: guarded inlining toggled against the
-# optimization levels and execution tiers it interacts with (summaries
-# on, the default). With inlining off every virtual call falls back to
+# optimization levels it interacts with (summaries on, the default). With inlining off every virtual call falls back to
 # CHA-safe inlining or summaries; results and differential properties
 # must not move either way. The inlining=off half doubles as the
 # regression cell for the pre-inlining pipeline.
 for inlining in on off; do
   for opt in none ea pea; do
-    for tier in closure direct; do
-      run_cell "inlining=$inlining opt=$opt exec-tier=$tier" \
-        "MJVM_TEST_INLINING=$inlining" "MJVM_TEST_OPT=$opt" \
-        "MJVM_TEST_EXEC_TIER=$tier"
-    done
+    run_cell "inlining=$inlining opt=$opt" \
+      "MJVM_TEST_INLINING=$inlining" "MJVM_TEST_OPT=$opt"
   done
 done
 
 # Correctness-tooling sweep: the speculation-safety verifier after every
 # optimization phase plus the bisimulation deopt oracle, across the
-# opt x tier x osr x compile-mode matrix (summaries stay on — the
+# opt x osr x compile-mode matrix (summaries stay on — the
 # verifier cares about the shape of deopt metadata, which summaries only
 # make more speculative). A SPEC violation or a replay divergence in any
 # cell is a compiler bug caught by the tooling rather than by a wrong
 # answer downstream.
 for opt in none ea pea; do
-  for tier in closure direct; do
-    for osr in on off; do
-      for mode in sync replay; do
-        run_cell "verify: opt=$opt exec-tier=$tier osr=$osr compile-mode=$mode check-level=every-phase oracle=on" \
-          "MJVM_TEST_OPT=$opt" "MJVM_TEST_EXEC_TIER=$tier" \
-          "MJVM_TEST_OSR=$osr" "MJVM_TEST_COMPILE_MODE=$mode" \
-          "MJVM_TEST_CHECK_LEVEL=every-phase" "MJVM_TEST_ORACLE=on"
-      done
+  for osr in on off; do
+    for mode in sync replay; do
+      run_cell "verify: opt=$opt osr=$osr compile-mode=$mode check-level=every-phase oracle=on" \
+        "MJVM_TEST_OPT=$opt" "MJVM_TEST_OSR=$osr" "MJVM_TEST_COMPILE_MODE=$mode" \
+        "MJVM_TEST_CHECK_LEVEL=every-phase" "MJVM_TEST_ORACLE=on"
     done
   done
 done

@@ -4,12 +4,11 @@
    the same program produce different profiles. This one samples on the
    cost-model cycle counter instead: a sample is taken at the first
    safepoint at or after every [interval]-cycle grid point. Safepoints
-   are the interpreter dispatch loop, direct-tier block entry and
-   closure-tier block transfer — program points both compiled tiers hit
-   at bit-identical cycle values — so the sample stream, and therefore
-   the whole profile, is a pure function of the executed program: byte
-   identical across runs, across the direct/closure execution tiers and
-   across the async/replay compile modes.
+   are the interpreter dispatch loop and compiled-code block transfer —
+   program points hit at deterministic cycle values — so the sample
+   stream, and therefore the whole profile, is a pure function of the
+   executed program: byte identical across runs and across the
+   async/replay compile modes.
 
    Attribution is (method, tier, bci bucket) at the sample's leaf plus
    the full call stack above it. The stack is a shadow stack maintained

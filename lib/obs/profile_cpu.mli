@@ -11,7 +11,7 @@
 
 type tier =
   | T_interp  (** interpreted frames *)
-  | T_jit  (** normal-entry compiled code (direct or closure tier) *)
+  | T_jit  (** normal-entry compiled code *)
   | T_osr  (** compiled code entered at a loop header *)
 
 val tier_string : tier -> string

@@ -1,12 +1,12 @@
-(* The closure execution tier: a one-time translation of an optimized IR
-   graph into a tree of OCaml closures.
+(* The closure execution tier, the VM's only compiled executor: a
+   one-time translation of an optimized IR graph into a tree of OCaml
+   closures.
 
-   The direct tier ({!Ir_exec}) is itself an interpreter — every invocation
-   re-matches on every [Node.op], linearly searches predecessor lists to
-   route phis and rebuilds argument lists per call. This tier performs the
-   classic next step from the JIT literature (it is the move Graal makes
-   when it hands IR to a backend): all of that work happens once, at
-   closure-compile time.
+   A graph walker ({!Ir_exec}) is itself an interpreter — every invocation
+   re-matches on every [Node.op], routes phis on block entry and rebuilds
+   argument lists per call. This tier performs the classic next step from
+   the JIT literature (it is the move Graal makes when it hands IR to a
+   backend): all of that work happens once, at closure-compile time.
 
      - Every instruction becomes a pre-bound [regs -> unit] closure with
        its operands, field offsets, class pointers and cost charges
@@ -26,9 +26,9 @@
      - Register files are pooled per compiled method across invocations
        instead of [Array.make] per call (see the lifetime rules below).
 
-   Cost accounting is bit-for-bit identical to the direct tier: each
-   closure charges exactly the cycles and [compiled_ops] the direct tier
-   charges for the same operation, in the same order relative to traps.
+   Cost accounting is bit-for-bit identical to the {!Ir_exec} reference:
+   each closure charges exactly the cycles and [compiled_ops] it charges
+   for the same operation, in the same order relative to traps.
    Inline caches and register pooling are wall-clock optimizations only
    and add no model cycles.
 
@@ -87,7 +87,7 @@ let compile (env : Interp.env) (g : Graph.t) : code =
   in
   (* counter bumps shared by every instruction closure; [cy] is the full
      pre-resolved charge (base + operation-specific), applied before the
-     operation body exactly like the direct tier charges before trapping *)
+     operation body exactly like {!Ir_exec} charges before trapping *)
   let bump cy =
     Stats.incr stats Stats.compiled_ops;
     Stats.add stats Stats.cycles cy
@@ -498,8 +498,7 @@ let compile (env : Interp.env) (g : Graph.t) : code =
             None b.Graph.instrs
         in
         (* profiler safepoint on block entry: edge phi moves charge no
-           cycles, so this poll reads the same clock value as the direct
-           tier's block-entry poll — both tiers sample identically *)
+           cycles, so this poll reads the clock value at block entry *)
         let sample_bci = block_bcis.(b.Graph.b_id) in
         let inner =
           match fused with

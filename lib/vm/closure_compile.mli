@@ -1,17 +1,17 @@
-(** The closure execution tier: one-time translation of an optimized IR
-    graph into a tree of OCaml closures.
+(** The closure execution tier, the VM's only compiled executor: one-time
+    translation of an optimized IR graph into a tree of OCaml closures.
 
-    Compared to the direct tier ({!Ir_exec}) this removes the per-operation
-    [Node.op] dispatch, predecessor search for phi routing and per-call
-    register-file allocation: every instruction becomes a pre-bound
+    Compared to walking the graph ({!Ir_exec}) this removes the
+    per-operation [Node.op] dispatch, phi routing on block entry and
+    per-call register-file allocation: every instruction becomes a pre-bound
     closure, every block a fused closure chain, every [(pred, block)] edge
     a precomputed parallel phi move, every virtual call site a monomorphic
     inline cache, and register files are pooled across invocations.
 
     Cost accounting ({!Stats.cycles}, {!Stats.compiled_ops}) is
-    bit-for-bit identical to the direct tier — inline caches and register
-    pooling are wall-clock optimizations only and charge no model cycles,
-    so Table-1 numbers do not depend on the execution tier. *)
+    bit-for-bit identical to the {!Ir_exec} reference — inline caches and
+    register pooling are wall-clock optimizations only and charge no
+    model cycles. *)
 
 open Pea_ir
 open Pea_rt

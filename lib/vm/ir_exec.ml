@@ -1,15 +1,16 @@
-(* The reference "compiled code" tier: a direct executor for optimized IR
-   graphs. Each IR operation costs roughly one cycle in the cost model
-   (plus operation-specific costs), compared to the interpreter's dispatch
-   overhead — this is what makes removed allocations, loads and monitor
-   operations visible in the iterations/minute metric.
+(* A standalone evaluator for optimized IR graphs, used by tests and
+   tools; the VM runs compiled code on the closure tier
+   ({!Closure_compile}). Each IR operation costs roughly one cycle in the
+   cost model (plus operation-specific costs), compared to the
+   interpreter's dispatch overhead — this is what makes removed
+   allocations, loads and monitor operations visible in the
+   iterations/minute metric.
 
-   The closure tier ({!Closure_compile}) is the fast path; this executor
-   stays deliberately straightforward so the two can be differentially
-   tested against each other and the interpreter.
+   It stays deliberately straightforward: it is the cost-model reference
+   the closure tier is differentially tested against, graph by graph.
 
-   Hitting a [Deopt] terminator raises {!Deoptimize}; the VM catches it and
-   transfers to the interpreter via {!Deopt}. *)
+   Hitting a [Deopt] terminator raises {!Deoptimize}, which the closure
+   tier raises too. *)
 
 open Pea_bytecode
 open Pea_ir
@@ -337,7 +338,7 @@ let run_prepared (env : Interp.env) (p : prepared) (args : Value.value list) :
     let b = Graph.block g bid in
     (* profiler safepoint at block entry: phi routing charges no cycles,
        so polling here and after the closure tier's edge moves read the
-       same clock value — the two tiers produce identical samples *)
+       same clock value *)
     if Pea_obs.Profile_cpu.enabled () && not shadow then
       Pea_obs.Profile_cpu.poll p.p_bcis.(bid);
     (* route phis through the precomputed (pred, block) edge tables *)

@@ -1,21 +1,20 @@
-(** The reference "compiled code" tier: a direct executor for optimized IR
-    graphs.
+(** A standalone evaluator for optimized IR graphs, for tests and tools.
 
     Each IR operation costs roughly one cycle in the cost model (plus
     operation-specific costs), compared to the interpreter's per-bytecode
     dispatch overhead — this is what makes removed allocations, loads and
-    monitor operations visible in the iterations/minute metric. The
-    {!Closure_compile} tier executes the same graphs faster in wall-clock
-    terms; this executor is the semantic reference the closure tier is
-    differentially tested against. *)
+    monitor operations visible in the iterations/minute metric. The VM
+    executes compiled graphs on the {!Closure_compile} tier; this
+    evaluator is the cost-model reference that tier is differentially
+    tested against, graph by graph. *)
 
 open Pea_ir
 open Pea_rt
 
-(** Raised when execution reaches a [Deopt] terminator. Carries the deopt
-    record (frame state plus pruned-branch provenance) and a
-    register-lookup function for the values it references; the VM catches
-    this and transfers to the interpreter via {!Deopt.handle}. *)
+(** Raised when execution reaches a [Deopt] terminator (here and in
+    {!Closure_compile}). Carries the deopt record (frame state plus
+    pruned-branch provenance) and a register-lookup function for the
+    values it references. *)
 exception Deoptimize of Graph.deopt * (Node.node_id -> Value.value)
 
 (** [const_value c] converts a compile-time constant to a runtime value
@@ -33,19 +32,14 @@ type prepared
 val prepare : Graph.t -> prepared
 
 (** [site_tables g] computes bytecode-site attribution tables shared by
-    both execution tiers and the profilers: per node id the nearest
-    enclosing [(method id, bci)] — from the node's own frame state
+    this evaluator, the closure tier and the profilers: per node id the
+    nearest enclosing [(method id, bci)] — from the node's own frame state
     (innermost frame) or the last state seen earlier in its block — and
     per block id a representative entry bci for safepoint samples.
     [(-1, -1)] / [-1] where the graph carries no frame states. *)
 val site_tables : Graph.t -> (int * int) array * int array
 
-(** [run_prepared env p args] executes the prepared graph from its entry
-    block.
+(** [run env g args] executes [g] from its entry block.
     @raise Deoptimize at [Deopt] terminators.
     @raise Interp.Trap on runtime faults. *)
-val run_prepared : Interp.env -> prepared -> Value.value list -> Value.value option
-
-(** [run env g args] is [run_prepared env (prepare g) args] — one-shot
-    execution for tests and tools. *)
 val run : Interp.env -> Graph.t -> Value.value list -> Value.value option

@@ -3,7 +3,7 @@
     Methods start in the bytecode interpreter, which collects invocation
     counts, branch profiles and per-loop-header back-edge counters. Hot
     methods are compiled through the {!Jit} pipeline and then run on the
-    configured execution tier; a loop that gets hot inside a single
+    closure tier ({!Closure_compile}); a loop that gets hot inside a single
     interpreted invocation tiers up without waiting for a return, via
     on-stack replacement: the interpreter hands its live locals to the
     VM at a back edge, which compiles an OSR graph entered at the loop

@@ -444,25 +444,6 @@ let ic_dispatch =
   \  }\n\
    }"
 
-(* Compiled arithmetic, allocation, virtual dispatch, field traffic and
-   a pruned branch that deopts with a virtual object in the frame state:
-   the cross-tier cost-model-parity scenario (no main). *)
-let tier_parity =
-  "class I { int val; }\n\
-   class A { int v; int get() { return v; } }\n\
-   class B extends A { int get() { return v * 2; } }\n\
-   class C {\n\
-  \  static I global;\n\
-  \  static A mkA(int v) { A a = new A(); a.v = v; return a; }\n\
-  \  static A mkB(int v) { B b = new B(); b.v = v; return b; }\n\
-  \  static int f(A recv, int x, boolean cold) {\n\
-  \    I i = new I();\n\
-  \    i.val = x + recv.get();\n\
-  \    if (cold) { C.global = i; }\n\
-  \    return i.val + 1;\n\
-  \  }\n\
-   }"
-
 (* The paper's running example (§4, Listings 4-6): the Key allocation
    escapes only on the cache-miss path (no main; analyze
    Cache.getValue). *)

@@ -2,9 +2,7 @@
    can be re-run under a forced VM configuration (see bench/run_matrix.sh):
 
    - MJVM_TEST_OPT = none | ea | pea   forces the optimization level;
-   - MJVM_TEST_SUMMARIES = 0|off|false disables interprocedural summaries
-     (any other value enables them);
-   - MJVM_TEST_EXEC_TIER = direct | closure forces the execution tier;
+   - MJVM_TEST_SUMMARIES = on | off forces interprocedural summaries;
    - MJVM_TEST_OSR = on | off forces on-stack replacement on or off;
    - MJVM_TEST_COMPILE_MODE = sync | async | replay forces when the
      compile pipeline runs relative to the mutator (background
@@ -19,13 +17,14 @@
    - MJVM_TEST_INLINING = on | off forces speculative guarded inlining
      (profile-driven dominant-receiver inlining behind exact-class
      guards) on or off;
-   - MJVM_TEST_QCHECK_COUNT = N scales the qcheck case counts (the matrix
-     run uses 500+; the default local counts keep the suite fast);
-   - MJVM_TEST_TRACE = 1|on|true installs a global tracer for the whole
+   - MJVM_TEST_QCHECK_COUNT = N (positive) scales the qcheck case counts
+     (the matrix run uses 500+; the default local counts keep the suite
+     fast);
+   - MJVM_TEST_TRACE = on | off installs a global tracer for the whole
      suite, so every cell also exercises the instrumentation paths (the
      trace itself is discarded — the point is that results and counters
      must not move);
-   - MJVM_TEST_PROFILE = 1|on|true installs the global sampling and heap
+   - MJVM_TEST_PROFILE = on | off installs the global sampling and heap
      profilers for the whole suite, same discipline as MJVM_TEST_TRACE:
      the profiles are discarded, the point is that profiling must not
      move any result or deterministic counter;
@@ -34,94 +33,120 @@
      forces for CI) runs the deterministic single-threaded schedule;
      `real` additionally unlocks the threaded suites that run real
      worker domains and pin their reports bit-for-bit to replay's. This
-     axis is read by test_serving.ml directly (see [serve_real]), not
-     through [apply] — the serving harness owns its tenants' compile
-     mode and OSR settings by design.
+     axis is read by test_serving.ml through [serve_real], not through
+     [apply] — the serving harness owns its tenants' compile mode and
+     OSR settings by design.
 
-   Unset variables leave the test's own configuration untouched. *)
+   on | off also accept 1 | 0 and true | false. Unset variables leave the
+   test's own configuration untouched. A set MJVM_TEST_* variable this
+   module does not read, or a value it does not recognise, fails the run
+   at startup: a typo in a matrix cell must not silently run the default
+   configuration. *)
 
 open Pea_vm
 
-let () =
-  match Sys.getenv_opt "MJVM_TEST_TRACE" with
-  | Some ("1" | "on" | "true") -> Pea_obs.Trace.install (Pea_obs.Trace.create ())
-  | Some _ | None -> ()
+(* [get ~env var parse] reads [var] through [env]; [None] when unset. A
+   value [parse] rejects fails with a message naming the variable. *)
+let get ?(env = Sys.getenv_opt) var parse =
+  match env var with
+  | None -> None
+  | Some v -> (
+      match parse v with
+      | Some x -> Some x
+      | None -> failwith (Printf.sprintf "%s=%S: unrecognised value" var v))
+
+let flag = function
+  | "on" | "1" | "true" -> Some true
+  | "off" | "0" | "false" -> Some false
+  | _ -> None
+
+let choice l v = List.assoc_opt v l
+
+let positive s = match int_of_string_opt s with Some n when n > 0 -> Some n | _ -> None
+
+let serve_mode = choice [ ("replay", false); ("real", true) ]
+
+(* [apply_env env cfg] is [apply] reading the variables through [env]. *)
+let apply_env env (cfg : Jit.config) =
+  let set var parse f cfg = match get ~env var parse with Some x -> f cfg x | None -> cfg in
+  cfg
+  |> set "MJVM_TEST_OPT"
+       (choice [ ("none", Jit.O_none); ("ea", Jit.O_ea); ("pea", Jit.O_pea) ])
+       (fun c opt -> { c with Jit.opt })
+  |> set "MJVM_TEST_SUMMARIES" flag (fun c summaries -> { c with Jit.summaries })
+  |> set "MJVM_TEST_OSR" flag (fun c osr -> { c with Jit.osr })
+  |> set "MJVM_TEST_COMPILE_MODE"
+       (choice [ ("sync", Jit.Sync); ("async", Jit.Async); ("replay", Jit.Replay) ])
+       (fun c compile_mode -> { c with Jit.compile_mode })
+  |> set "MJVM_TEST_CHECK_LEVEL" Pea_analysis.Spec_check.level_of_string (fun c check_level ->
+         { c with Jit.check_level })
+  |> set "MJVM_TEST_INLINING" flag (fun c inlining -> { c with Jit.inlining })
+  |> set "MJVM_TEST_ORACLE" flag (fun c oracle -> { c with Jit.oracle })
+  |> set "MJVM_TEST_STACKALLOC" flag (fun c stackalloc -> { c with Jit.stackalloc })
+
+let apply cfg = apply_env Sys.getenv_opt cfg
+
+let known =
+  [
+    "MJVM_TEST_OPT";
+    "MJVM_TEST_SUMMARIES";
+    "MJVM_TEST_OSR";
+    "MJVM_TEST_COMPILE_MODE";
+    "MJVM_TEST_CHECK_LEVEL";
+    "MJVM_TEST_INLINING";
+    "MJVM_TEST_ORACLE";
+    "MJVM_TEST_STACKALLOC";
+    "MJVM_TEST_QCHECK_COUNT";
+    "MJVM_TEST_TRACE";
+    "MJVM_TEST_PROFILE";
+    "MJVM_TEST_SERVE";
+  ]
+
+(* [check_env vars] validates an environment given as [(name, value)]
+   pairs: every MJVM_TEST_* name must be one this module reads, and every
+   value one it recognises.
+   @raise Failure naming the offending variable and value. *)
+let check_env vars =
+  List.iter
+    (fun (var, v) ->
+      if String.starts_with ~prefix:"MJVM_TEST_" var && not (List.mem var known) then
+        failwith (Printf.sprintf "%s=%S: unknown test variable" var v))
+    vars;
+  let env var = List.assoc_opt var vars in
+  ignore (apply_env env Jit.default_config);
+  ignore (get ~env "MJVM_TEST_QCHECK_COUNT" positive);
+  ignore (get ~env "MJVM_TEST_TRACE" flag);
+  ignore (get ~env "MJVM_TEST_PROFILE" flag);
+  ignore (get ~env "MJVM_TEST_SERVE" serve_mode)
 
 let () =
-  match Sys.getenv_opt "MJVM_TEST_PROFILE" with
-  | Some ("1" | "on" | "true") ->
-      Pea_obs.Profile_cpu.install (Pea_obs.Profile_cpu.create ());
-      Pea_obs.Profile_heap.install (Pea_obs.Profile_heap.create ())
-  | Some _ | None -> ()
+  check_env
+    (List.filter_map
+       (fun kv ->
+         Option.map
+           (fun i -> (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1)))
+           (String.index_opt kv '='))
+       (Array.to_list (Unix.environment ())))
+
+let () = if get "MJVM_TEST_TRACE" flag = Some true then Pea_obs.Trace.install (Pea_obs.Trace.create ())
+
+let () =
+  if get "MJVM_TEST_PROFILE" flag = Some true then begin
+    Pea_obs.Profile_cpu.install (Pea_obs.Profile_cpu.create ());
+    Pea_obs.Profile_heap.install (Pea_obs.Profile_heap.create ())
+  end
 
 (* Tests that compare optimization levels against each other are
    meaningless when the level is forced from the outside. *)
 let opt_forced () = Sys.getenv_opt "MJVM_TEST_OPT" <> None
 
 (* Serving-harness mode: whether the real-domain suites are unlocked. *)
-let serve_real () =
-  match Sys.getenv_opt "MJVM_TEST_SERVE" with Some "real" -> true | Some _ | None -> false
+let serve_real () = get "MJVM_TEST_SERVE" serve_mode = Some true
+
+(* The forced stack-allocation setting, for suites that sweep both
+   halves themselves when it is unset. *)
+let stackalloc () = get "MJVM_TEST_STACKALLOC" flag
 
 (* qcheck case count: [default] unless MJVM_TEST_QCHECK_COUNT is set. *)
 let qcheck_count default =
-  match Sys.getenv_opt "MJVM_TEST_QCHECK_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
-let apply (cfg : Jit.config) =
-  let cfg =
-    match Sys.getenv_opt "MJVM_TEST_OPT" with
-    | Some "none" -> { cfg with Jit.opt = Jit.O_none }
-    | Some "ea" -> { cfg with Jit.opt = Jit.O_ea }
-    | Some "pea" -> { cfg with Jit.opt = Jit.O_pea }
-    | Some _ | None -> cfg
-  in
-  let cfg =
-    match Sys.getenv_opt "MJVM_TEST_SUMMARIES" with
-    | Some ("0" | "off" | "false") -> { cfg with Jit.summaries = false }
-    | Some _ -> { cfg with Jit.summaries = true }
-    | None -> cfg
-  in
-  let cfg =
-    match Sys.getenv_opt "MJVM_TEST_EXEC_TIER" with
-    | Some "direct" -> { cfg with Jit.exec_tier = Jit.Direct }
-    | Some "closure" -> { cfg with Jit.exec_tier = Jit.Closure }
-    | Some _ | None -> cfg
-  in
-  let cfg =
-    match Sys.getenv_opt "MJVM_TEST_OSR" with
-    | Some ("on" | "1" | "true") -> { cfg with Jit.osr = true }
-    | Some ("off" | "0" | "false") -> { cfg with Jit.osr = false }
-    | Some _ | None -> cfg
-  in
-  let cfg =
-    match Sys.getenv_opt "MJVM_TEST_COMPILE_MODE" with
-    | Some "sync" -> { cfg with Jit.compile_mode = Jit.Sync }
-    | Some "async" -> { cfg with Jit.compile_mode = Jit.Async }
-    | Some "replay" -> { cfg with Jit.compile_mode = Jit.Replay }
-    | Some _ | None -> cfg
-  in
-  let cfg =
-    match Sys.getenv_opt "MJVM_TEST_CHECK_LEVEL" with
-    | Some s -> (
-        match Pea_analysis.Spec_check.level_of_string s with
-        | Some level -> { cfg with Jit.check_level = level }
-        | None -> cfg)
-    | None -> cfg
-  in
-  let cfg =
-    match Sys.getenv_opt "MJVM_TEST_INLINING" with
-    | Some ("on" | "1" | "true") -> { cfg with Jit.inlining = true }
-    | Some ("off" | "0" | "false") -> { cfg with Jit.inlining = false }
-    | Some _ | None -> cfg
-  in
-  let cfg =
-    match Sys.getenv_opt "MJVM_TEST_ORACLE" with
-    | Some ("on" | "1" | "true") -> { cfg with Jit.oracle = true }
-    | Some ("off" | "0" | "false") -> { cfg with Jit.oracle = false }
-    | Some _ | None -> cfg
-  in
-  match Sys.getenv_opt "MJVM_TEST_STACKALLOC" with
-  | Some ("on" | "1" | "true") -> { cfg with Jit.stackalloc = true }
-  | Some ("off" | "0" | "false") -> { cfg with Jit.stackalloc = false }
-  | Some _ | None -> cfg
+  Option.value (get "MJVM_TEST_QCHECK_COUNT" positive) ~default

@@ -8,10 +8,11 @@
    compiled graph verifies cleanly — the harness doubly serves as the
    false-positive gate.
 
-   Graphs are mutated either after offline compilation through the VM
-   ([Vm.compiled_graph]; Direct tier reads terminators live from the
-   installed graph, so runtime cases use it) or hand-built where a
-   corruption needs a shape the compiler would never emit. *)
+   Graphs are mutated either after compilation ([Vm.compiled_graph] for
+   static cases; runtime cases compile offline and serve the mutated
+   graph to the VM through a code source, see
+   [Test_support.serve_mutated]) or hand-built where a corruption needs
+   a shape the compiler would never emit. *)
 
 open Pea_bytecode
 open Pea_rt
@@ -73,11 +74,13 @@ let setup ?(config = Test_env.apply { Jit.default_config with Jit.compile_thresh
   let program = Link.compile_source ~require_main:false src in
   (program, Vm.create ~config program)
 
-(* Warm [C.f] until compiled and hand its installed graph over. *)
+(* Warm [C.f] until compiled (draining any background compile) and hand
+   its installed graph over. *)
 let compiled_graph_of ?config src warm_args =
   let program, vm = setup ?config src in
   let f = Link.find_method program "C" "f" in
   Vm.warm_up vm f warm_args 40;
+  Vm.quiesce vm;
   match Vm.compiled_graph vm f with
   | Some g -> (program, vm, f, g)
   | None -> Alcotest.fail "method did not compile"
@@ -308,25 +311,22 @@ let test_resume_not_after_invoke () =
 (* oracle at the next deopt                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Direct tier (the installed graph is consulted on every run; the
-   closure tier captures terminators at translation time), oracle on. *)
+(* Oracle on; OSR off so the mutated normal-entry graph is the only
+   compiled code [f] ever runs. *)
 let dynamic_config () =
-  Test_env.apply
-    {
-      Jit.default_config with
-      Jit.compile_threshold = 25;
-      Jit.oracle = true;
-      Jit.exec_tier = Jit.Direct;
-    }
+  {
+    (Test_env.apply { Jit.default_config with Jit.compile_threshold = 25; Jit.oracle = true }) with
+    Jit.osr = false;
+  }
 
+(* Warm [f] interpreted up to its threshold, then run it once on the
+   mutated graph: the closure tier translates the corruption on that
+   first compiled run. *)
 let expect_divergence ?(src = remat_src) ?(config = dynamic_config ()) ~needle mutate =
   let program, vm = setup ~config src in
   let f = Link.find_method program "C" "f" in
-  Vm.warm_up vm f [ vint 7; vbool false ] 40;
-  let g =
-    match Vm.compiled_graph vm f with Some g -> g | None -> Alcotest.fail "not compiled"
-  in
-  mutate g;
+  Vm.warm_up vm f [ vint 7; vbool false ] config.Jit.compile_threshold;
+  let g = Test_support.serve_mutated vm config program f mutate in
   (* the corruption must be invisible to the static verifier — that is
      what makes it the oracle's job *)
   Alcotest.(check (list string)) "statically clean" [] (rules (Spec_check.check g));

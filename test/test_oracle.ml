@@ -36,6 +36,12 @@ let setup ?(config = config ()) src =
 
 let deopts vm = Stats.get (Vm.stats vm) Stats.deopts
 
+(* Warm [f] past its threshold and drain any background compile, so the
+   next call runs compiled code under every MJVM_TEST_COMPILE_MODE. *)
+let warm_up vm f args =
+  Vm.warm_up vm f args 40;
+  Vm.quiesce vm
+
 (* ------------------------------------------------------------------ *)
 (* Scalar-replaced object: remat checked against the shadow            *)
 (* ------------------------------------------------------------------ *)
@@ -55,7 +61,7 @@ let test_oracle_object_remat () =
   in
   let program, vm = setup src in
   let f = Link.find_method program "C" "f" in
-  Vm.warm_up vm f [ vint 7; vbool false ] 40;
+  warm_up vm f [ vint 7; vbool false ];
   Alcotest.(check bool) "compiled" true (Vm.compiled_graph vm f <> None);
   let before = deopts vm in
   (* the cold branch: deopt fires, the oracle replays and must agree *)
@@ -83,7 +89,7 @@ let test_oracle_virtual_array () =
   in
   let program, vm = setup src in
   let f = Link.find_method program "C" "f" in
-  Vm.warm_up vm f [ vint 4; vbool false ] 40;
+  warm_up vm f [ vint 4; vbool false ];
   let before = deopts vm in
   Alcotest.(check int) "cold result under oracle" 110
     (as_int (Vm.invoke vm f [ vint 10; vbool true ]));
@@ -118,7 +124,7 @@ let test_oracle_lock_elided () =
   in
   let program, vm = setup src in
   let f = Link.find_method program "C" "f" in
-  Vm.warm_up vm f [ vint 5; vbool false ] 40;
+  warm_up vm f [ vint 5; vbool false ];
   let before = deopts vm in
   (* deopt inside the synchronized region: the rematerialized box must be
      locked, and the shadow's box is locked at the same depth *)
@@ -149,15 +155,20 @@ let test_oracle_osr_deopt () =
     \  }\n\
      }"
   in
+  (* OSR pinned on over the MJVM_TEST_OSR axis: only OSR can compile
+     this, so with it off the case would check nothing *)
   let config =
-    Test_env.apply
-      {
-        Jit.default_config with
-        Jit.compile_threshold = 1000000;
-        (* only OSR can compile this *)
-        Jit.osr_threshold = 50;
-        Jit.oracle = true;
-      }
+    {
+      (Test_env.apply
+         {
+           Jit.default_config with
+           Jit.compile_threshold = 1000000;
+           Jit.osr_threshold = 50;
+           Jit.oracle = true;
+         })
+      with
+      Jit.osr = true;
+    }
   in
   let program, vm = setup ~config src in
   let f = Link.find_method program "C" "f" in
@@ -171,8 +182,9 @@ let test_oracle_osr_deopt () =
 (* The oracle does catch lies: corrupt a rematerialized value           *)
 (* ------------------------------------------------------------------ *)
 
-(* Direct tier so the installed graph is consulted on every run
-   ([Closure_compile] captures terminators at translation time). *)
+(* The corrupted graph is compiled offline and served to the VM, so its
+   first compiled run translates the corruption (OSR off: no other
+   compiled code for [f]). *)
 let test_oracle_catches_corruption () =
   let src =
     "class I { int val; }\n\
@@ -186,32 +198,30 @@ let test_oracle_catches_corruption () =
     \  }\n\
      }"
   in
-  let config = { (config ()) with Jit.exec_tier = Jit.Direct } in
+  let config = { (config ()) with Jit.osr = false } in
   let program, vm = setup ~config src in
   let f = Link.find_method program "C" "f" in
-  Vm.warm_up vm f [ vint 7; vbool false ] 40;
-  let g =
-    match Vm.compiled_graph vm f with
-    | Some g -> g
-    | None -> Alcotest.fail "not compiled"
-  in
+  Vm.warm_up vm f [ vint 7; vbool false ] config.Jit.compile_threshold;
   (* corrupt every deopt state: claim local 0 is the constant 999 *)
   let corrupted = ref 0 in
-  Pea_ir.Graph.iter_blocks
-    (fun b ->
-      match b.Pea_ir.Graph.term with
-      | Pea_ir.Graph.Deopt d ->
-          let fs = d.Pea_ir.Graph.d_state in
-          let locals = Array.copy fs.Pea_ir.Frame_state.fs_locals in
-          if Array.length locals > 0 then begin
-            locals.(0) <- Pea_ir.Frame_state.F_const (Pea_ir.Frame_state.Cint 999);
-            incr corrupted;
-            b.Pea_ir.Graph.term <-
-              Pea_ir.Graph.Deopt
-                { d with Pea_ir.Graph.d_state = { fs with Pea_ir.Frame_state.fs_locals = locals } }
-          end
-      | _ -> ())
-    g;
+  let corrupt g =
+    Pea_ir.Graph.iter_blocks
+      (fun b ->
+        match b.Pea_ir.Graph.term with
+        | Pea_ir.Graph.Deopt d ->
+            let fs = d.Pea_ir.Graph.d_state in
+            let locals = Array.copy fs.Pea_ir.Frame_state.fs_locals in
+            if Array.length locals > 0 then begin
+              locals.(0) <- Pea_ir.Frame_state.F_const (Pea_ir.Frame_state.Cint 999);
+              incr corrupted;
+              b.Pea_ir.Graph.term <-
+                Pea_ir.Graph.Deopt
+                  { d with Pea_ir.Graph.d_state = { fs with Pea_ir.Frame_state.fs_locals = locals } }
+            end
+        | _ -> ())
+      g
+  in
+  ignore (Test_support.serve_mutated vm config program f corrupt);
   Alcotest.(check bool) "something corrupted" true (!corrupted > 0);
   match Vm.invoke vm f [ vint 123; vbool true ] with
   | exception Oracle.Divergence dv ->

@@ -3,9 +3,8 @@
    flight recorder, and the [mjvm report] aggregation.
 
    The determinism cases deliberately bypass [Test_env.apply]: they
-   compare execution tiers and compile modes against each other, and
-   forcing one from the environment would collapse the comparison (same
-   reasoning as prop_tier_differential). The parity property at the end
+   compare compile modes against each other, and forcing one from the
+   environment would collapse the comparison. The parity property at the end
    is the axis-friendly half: whatever the configuration, profiling on
    vs off must not move any result or deterministic counter. *)
 
@@ -34,7 +33,7 @@ let with_profilers ?(interval = 256) f =
 
 (* Run [src] under fresh profilers and hand back (vm result, report). *)
 let run_profiled ?interval ?(iterations = 8) ?(threshold = 4) ?(opt = Jit.O_pea)
-    ?(tier = Jit.Closure) ?(mode = Jit.Sync) ?(osr = true) src =
+    ?(mode = Jit.Sync) ?(osr = true) src =
   with_profilers ?interval (fun cpu heap ->
       let program = Link.compile_source src in
       let config =
@@ -42,7 +41,6 @@ let run_profiled ?interval ?(iterations = 8) ?(threshold = 4) ?(opt = Jit.O_pea)
           Jit.default_config with
           Jit.opt;
           compile_threshold = threshold;
-          exec_tier = tier;
           compile_mode = mode;
           osr;
         }
@@ -67,22 +65,30 @@ let test_identical_across_runs () =
   let _, a = run_profiled Programs.cache_loop in
   let _, b = run_profiled Programs.cache_loop in
   Alcotest.(check bool) "some samples" true (a.Report.rp_total > 0);
-  Alcotest.(check (triple string string string)) "byte-identical" (renderings a) (renderings b)
-
-(* Direct and closure tiers sample at the same cycle clock values, so
-   they produce the same profile, not just the same counters. *)
-let test_identical_across_tiers () =
-  let _, d = run_profiled ~tier:Jit.Direct Programs.cache_loop in
-  let _, c = run_profiled ~tier:Jit.Closure Programs.cache_loop in
   Alcotest.(check bool) "compiled samples exist" true
-    (List.exists (fun (t, w) -> t <> "interp" && w > 0) d.Report.rp_tiers);
-  Alcotest.(check (triple string string string)) "tier-identical" (renderings d) (renderings c)
+    (List.exists (fun (t, w) -> t <> "interp" && w > 0) a.Report.rp_tiers);
+  Alcotest.(check (triple string string string)) "byte-identical" (renderings a) (renderings b)
 
 (* Replay is async's deterministic twin: identical profiles, per the
    same clock argument that makes their counters bit-equal. *)
 let test_identical_replay_async () =
   let _, r = run_profiled ~mode:Jit.Replay Programs.cache_loop in
   let _, a = run_profiled ~mode:Jit.Async Programs.cache_loop in
+  Alcotest.(check (triple string string string)) "replay = async" (renderings r) (renderings a)
+
+(* The same twin property through a deopt and the recompile it
+   triggers: the invalidated code, the interpreter frames rebuilt by
+   deopt, and the queued recompile must be sampled identically. OSR is
+   off so the pruned branch is compiled from invocation counts. *)
+let test_replay_async_deopt () =
+  let run mode =
+    run_profiled ~iterations:30 ~threshold:22 ~osr:false ~mode Programs.deopt_trap
+  in
+  let rr, r = run Jit.Replay in
+  let _, a = run Jit.Async in
+  Alcotest.(check bool) "deopted" true (rr.Vm.stats.Stats.s_deopts >= 1);
+  Alcotest.(check bool) "compiled samples exist" true
+    (List.exists (fun (t, w) -> t <> "interp" && w > 0) r.Report.rp_tiers);
   Alcotest.(check (triple string string string)) "replay = async" (renderings r) (renderings a)
 
 (* Sync and replay schedule compiles differently (inline stall vs queued
@@ -276,8 +282,8 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "byte-identical across runs" `Quick test_identical_across_runs;
-          Alcotest.test_case "byte-identical across tiers" `Quick test_identical_across_tiers;
           Alcotest.test_case "replay = async" `Quick test_identical_replay_async;
+          Alcotest.test_case "replay = async through deopt" `Quick test_replay_async_deopt;
           Alcotest.test_case "sync = replay without compiles" `Quick
             test_sync_replay_interp_only;
           Alcotest.test_case "collapsed-stack golden" `Quick test_collapsed_golden;

@@ -9,6 +9,8 @@
       configurations (no EA / whole-method EA / PEA);
    2. dynamic allocation and monitor-operation counts never increase under
       escape analysis (§4 of the paper), and PEA subsumes whole-method EA.
+   3. the closure tier runs each optimized graph exactly like the
+      {!Ir_exec} reference, cost-model counters included.
 
    Because the generator controls all sources of nondeterminism and bounds
    every loop, any discrepancy is a real compiler bug. *)
@@ -314,41 +316,83 @@ let prop_differential =
           ret_c = ret_i && prints_c = expected_prints)
         [ Jit.O_none; Jit.O_ea; Jit.O_pea ])
 
-(* Tier differential: interpreter, direct tier and closure tier agree on
-   the last return value and the full print sequence at every opt level —
-   through JIT compilation, speculative pruning and a forced deopt with a
-   virtual object in the frame state (see [gen_program_deopt]) — and the
-   two compiled tiers agree bit-for-bit on the deterministic counters.
-   Deliberately not routed through [Test_env.apply]: forcing a tier from
-   the environment would collapse the comparison. *)
-let prop_tier_differential =
-  let iters = 25 in
-  let run src opt tier ~threshold =
-    let program = Pea_bytecode.Link.compile_source src in
-    let config =
-      { Jit.default_config with Jit.opt; compile_threshold = threshold; exec_tier = tier }
-    in
-    let vm = Vm.create ~config program in
-    let r = Vm.run_main_iterations vm iters in
-    (outcome_vm r, r.Vm.stats)
+(* Graph-level differential: the closure tier against the {!Ir_exec}
+   reference. Each generated program's main is interpreted to the
+   compile threshold (profiling the escape branch as never taken, so it
+   is pruned to a Deopt), compiled at every opt level, and the optimized
+   graph then runs on two fresh environments, once through
+   [Closure_compile] and once through [Ir_exec], until the pruned branch
+   deopts on invocation 24. Every invocation must end the same way (same
+   value, same Deoptimize site, or same fault), the prints must match,
+   and the cost-model counters must be bit-identical. *)
+let prop_closure_matches_ir_exec =
+  let threshold = 22 and iters = 25 in
+  let site (d : Pea_ir.Graph.deopt) =
+    let fs = d.Pea_ir.Graph.d_state in
+    (fs.Pea_ir.Frame_state.fs_method.Pea_bytecode.Classfile.mth_id, fs.Pea_ir.Frame_state.fs_bci)
   in
-  QCheck2.Test.make ~name:"closure tier = direct tier = interpreter, with forced deopts"
+  (* run [g] up to [iters] times on a fresh env through [exec], stopping
+     at the first invocation that does not return *)
+  let observe program g exec =
+    let printed = ref [] in
+    let env = Run.make_env program ~printed in
+    let run = exec env g in
+    let invoke () =
+      Heap.push_frame env.Interp.heap;
+      Fun.protect
+        ~finally:(fun () -> Heap.pop_frame env.Interp.heap)
+        (fun () ->
+          match run [] with
+          | r -> `Return (string_of_result r)
+          | exception Ir_exec.Deoptimize (d, _) -> `Deopt (site d)
+          | exception Interp.Trap msg -> `Trap msg
+          | exception Interp.Mj_throw v -> `Throw (Value.string_of_value v))
+    in
+    let rec go i acc =
+      if i = iters then List.rev acc
+      else
+        match invoke () with
+        | `Return _ as o -> go (i + 1) (o :: acc)
+        | o -> List.rev (o :: acc)
+    in
+    let outcomes = go 0 [] in
+    let s = Stats.snapshot env.Interp.stats in
+    ( outcomes,
+      List.map Value.string_of_value !printed,
+      [
+        s.Stats.s_cycles;
+        s.Stats.s_compiled_ops;
+        s.Stats.s_allocations;
+        s.Stats.s_allocated_bytes;
+        s.Stats.s_monitor_ops;
+      ] )
+  in
+  QCheck2.Test.make ~name:"closure tier = Ir_exec on optimized graphs, cost model included"
     ~count:(Test_env.qcheck_count 60) ~print:(fun s -> s) gen_program_deopt
     (fun src ->
-      (* reference: interpreter only (threshold never reached) *)
-      let reference, _ = run src Jit.O_pea Jit.Direct ~threshold:max_int in
+      let program = Pea_bytecode.Link.compile_source src in
+      let main = Pea_bytecode.Link.entry_exn program in
+      Pea_bytecode.Classfile.uses_exceptions main (* interpreter-only, as in the VM *)
+      ||
+      let warm = Run.make_env program ~printed:(ref []) in
+      for _ = 1 to threshold do
+        ignore (Interp.run warm main [])
+      done;
+      let base = Test_env.apply Jit.default_config in
+      let summaries =
+        if base.Jit.summaries then Some (Pea_analysis.Summary.analyze program) else None
+      in
       List.for_all
         (fun opt ->
-          let out_d, sd = run src opt Jit.Direct ~threshold:22 in
-          let out_c, sc = run src opt Jit.Closure ~threshold:22 in
-          out_d = reference && out_c = reference
-          && sd.Stats.s_cycles = sc.Stats.s_cycles
-          && sd.Stats.s_compiled_ops = sc.Stats.s_compiled_ops
-          && sd.Stats.s_interpreted_instrs = sc.Stats.s_interpreted_instrs
-          && sd.Stats.s_allocations = sc.Stats.s_allocations
-          && sd.Stats.s_allocated_bytes = sc.Stats.s_allocated_bytes
-          && sd.Stats.s_monitor_ops = sc.Stats.s_monitor_ops
-          && sd.Stats.s_deopts = sc.Stats.s_deopts)
+          let g = (Jit.compile ?summaries { base with Jit.opt } program warm.Interp.profile main).Jit.graph in
+          let closure =
+            observe program g (fun env g -> Closure_compile.run (Closure_compile.compile env g))
+          in
+          let reference = observe program g Ir_exec.run in
+          if closure <> reference then
+            QCheck2.Test.fail_reportf "closure tier and Ir_exec diverge at opt=%s"
+              (match opt with Jit.O_none -> "none" | Jit.O_ea -> "ea" | Jit.O_pea -> "pea")
+          else true)
         [ Jit.O_none; Jit.O_ea; Jit.O_pea ])
 
 let prop_alloc_monotone =
@@ -400,7 +444,7 @@ let prop_ir_checker_after_pea =
 
 (* Correctness tooling under fuzz: the every-phase verifier and the deopt
    oracle are forced on (overriding any matrix axis — the point is that
-   they stay silent), while tier / compile-mode / OSR axes still come from
+   they stay silent), while compile-mode / OSR axes still come from
    the environment, so `bench/run_matrix.sh` sweeps this property across
    the whole cell matrix. Any SPEC violation aborts compilation with
    [Failure]; any replay divergence raises [Oracle.Divergence]; either
@@ -433,7 +477,7 @@ let prop_verified_execution =
    compile queue must be observationally indistinguishable from K
    isolated runs — every tenant's per-request results equal those of an
    interpreter-only VM over just that tenant's app and request stream.
-   The opt × tier cell is drawn per case (the serving harness itself
+   The opt level is drawn per case (the serving harness itself
    forces Sync + no OSR on tenant VMs, so those axes don't apply);
    env-driven axes (summaries, stackalloc, inlining, ...) still reach
    the shared compiles through [Test_env.apply]. *)
@@ -470,27 +514,18 @@ let prop_serving_matches_isolated =
     and* rounds = G.int_range 3 6
     and* requests_per_round = G.int_range 6 12
     and* seed = G.int_range 0 99999
-    and* opt = G.oneofl [ Jit.O_none; Jit.O_ea; Jit.O_pea ]
-    and* tier = G.oneofl [ Jit.Direct; Jit.Closure ] in
-    G.return (tenants, rounds, requests_per_round, seed, opt, tier)
+    and* opt = G.oneofl [ Jit.O_none; Jit.O_ea; Jit.O_pea ] in
+    G.return (tenants, rounds, requests_per_round, seed, opt)
   in
-  let print (tenants, rounds, rpr, seed, opt, tier) =
-    Printf.sprintf "tenants=%d rounds=%d rpr=%d seed=%d opt=%s tier=%s" tenants rounds rpr seed
+  let print (tenants, rounds, rpr, seed, opt) =
+    Printf.sprintf "tenants=%d rounds=%d rpr=%d seed=%d opt=%s" tenants rounds rpr seed
       (match opt with Jit.O_none -> "none" | Jit.O_ea -> "ea" | Jit.O_pea -> "pea")
-      (match tier with Jit.Direct -> "direct" | Jit.Closure -> "closure")
   in
   QCheck2.Test.make ~name:"shared-cache serving = isolated per-tenant runs"
     ~count:(Test_env.qcheck_count 40) ~print gen
-    (fun (tenants, rounds, requests_per_round, seed, opt, tier) ->
+    (fun (tenants, rounds, requests_per_round, seed, opt) ->
       let script = Sessions.mixed_script ~tenants ~rounds ~requests_per_round ~seed () in
-      let sv_jit =
-        {
-          (Test_env.apply Jit.default_config) with
-          Jit.opt;
-          exec_tier = tier;
-          compile_threshold = 4;
-        }
-      in
+      let sv_jit = { (Test_env.apply Jit.default_config) with Jit.opt; compile_threshold = 4 } in
       let r = Server.run ~config:{ Server.default_config with Server.sv_jit } script in
       List.map (fun tr -> tr.Server.tr_results) r.Server.r_tenants = isolated_results script)
 
@@ -500,7 +535,7 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_differential;
-          QCheck_alcotest.to_alcotest prop_tier_differential;
+          QCheck_alcotest.to_alcotest prop_closure_matches_ir_exec;
           QCheck_alcotest.to_alcotest prop_alloc_monotone;
           QCheck_alcotest.to_alcotest prop_ir_checker_after_pea;
           QCheck_alcotest.to_alcotest prop_verified_execution;

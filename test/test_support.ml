@@ -6,7 +6,7 @@
    test_support_lib.ml.
 
    The centerpiece is [run_all_configs]: one place that enumerates the
-   opt × exec-tier × OSR × compile-mode matrix, so differential tests
+   opt × OSR × compile-mode matrix, so differential tests
    stop re-rolling it by hand and automatically pick up new axes. *)
 
 open Pea_rt
@@ -32,9 +32,23 @@ let with_tracer ?capacity f =
   Trace.install t;
   Fun.protect ~finally:Trace.uninstall (fun () -> f t)
 
-let opt_name = function Jit.O_none -> "none" | Jit.O_ea -> "ea" | Jit.O_pea -> "pea"
+(* [serve_mutated vm config program m mutate] compiles [m] offline on
+   [vm]'s profile, lets [mutate] corrupt the graph, and serves the result
+   to [vm] through a code source, so the next invocation of [m] translates
+   and runs the mutated graph. [vm] must still be interpreting [m]
+   (warmed to its compile threshold, not past it) and run with OSR off.
+   Returns the mutated graph. *)
+let serve_mutated vm (config : Jit.config) program (m : Pea_bytecode.Classfile.rt_method) mutate =
+  let summaries =
+    if config.Jit.summaries then Some (Pea_analysis.Summary.analyze program) else None
+  in
+  let code = Jit.compile ?summaries config program (Vm.profile vm) m in
+  mutate code.Jit.graph;
+  Vm.set_code_source vm
+    { Vm.cs_lookup = (fun m' -> if m' == m then Some code else None); cs_request = ignore };
+  code.Jit.graph
 
-let tier_name = function Jit.Direct -> "direct" | Jit.Closure -> "closure"
+let opt_name = function Jit.O_none -> "none" | Jit.O_ea -> "ea" | Jit.O_pea -> "pea"
 
 (* ------------------------------------------------------------------ *)
 (* The configuration matrix                                            *)
@@ -42,13 +56,12 @@ let tier_name = function Jit.Direct -> "direct" | Jit.Closure -> "closure"
 
 type cell = {
   c_opt : Jit.opt_level;
-  c_tier : Jit.exec_tier;
   c_osr : bool;
   c_mode : Jit.compile_mode;
 }
 
 let cell_name c =
-  Printf.sprintf "%s/%s/osr-%s/%s" (opt_name c.c_opt) (tier_name c.c_tier)
+  Printf.sprintf "%s/osr-%s/%s" (opt_name c.c_opt)
     (if c.c_osr then "on" else "off")
     (Jit.mode_string c.c_mode)
 
@@ -62,21 +75,12 @@ let all_cells ?(modes = default_modes) () =
   List.concat_map
     (fun c_opt ->
       List.concat_map
-        (fun c_tier ->
-          List.concat_map
-            (fun c_osr -> List.map (fun c_mode -> { c_opt; c_tier; c_osr; c_mode }) modes)
-            [ false; true ])
-        [ Jit.Direct; Jit.Closure ])
+        (fun c_osr -> List.map (fun c_mode -> { c_opt; c_osr; c_mode }) modes)
+        [ false; true ])
     [ Jit.O_none; Jit.O_ea; Jit.O_pea ]
 
 let config_of_cell ?(base = Jit.default_config) c =
-  {
-    base with
-    Jit.opt = c.c_opt;
-    exec_tier = c.c_tier;
-    osr = c.c_osr;
-    compile_mode = c.c_mode;
-  }
+  { base with Jit.opt = c.c_opt; osr = c.c_osr; compile_mode = c.c_mode }
 
 (* [run_all_configs src] runs [main] [iterations] times under every cell
    of the matrix and returns [(cell, result)] pairs, draining the
@@ -106,7 +110,7 @@ let interp_reference ~iterations src =
     List.concat (List.init iterations (fun _ -> List.map Value.string_of_value r.Run.printed))
   )
 
-(* The counters every cell must agree on with its mode/tier siblings
+(* The counters every cell must agree on with its mode siblings
    (wall-clock-independent model state). *)
 let deterministic_counters (s : Stats.snapshot) =
   [

@@ -124,6 +124,38 @@ let test_lock_elision () =
     Alcotest.failf "expected PEA to elide monitors (%d vs %d)" pea.Vm.stats.Stats.s_monitor_ops
       none.Vm.stats.Stats.s_monitor_ops
 
+(* The env-driven matrix fails loudly on a typo: an unrecognised value
+   of a known axis, or a set MJVM_TEST_* variable nothing reads (a
+   misspelt or retired axis), names the variable and the value instead
+   of silently running the default configuration. *)
+let test_env_rejects_unknown () =
+  let rejects what vars ~needles =
+    match Test_env.check_env vars with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Failure msg ->
+        List.iter
+          (fun needle ->
+            if not (Test_support.contains msg needle) then
+              Alcotest.failf "%s: message %S does not name %S" what msg needle)
+          needles
+  in
+  rejects "misspelt opt level" [ ("MJVM_TEST_OPT", "paa") ] ~needles:[ "MJVM_TEST_OPT"; "paa" ];
+  rejects "non-boolean summaries" [ ("MJVM_TEST_SUMMARIES", "yes") ]
+    ~needles:[ "MJVM_TEST_SUMMARIES"; "yes" ];
+  rejects "zero qcheck count" [ ("MJVM_TEST_QCHECK_COUNT", "0") ]
+    ~needles:[ "MJVM_TEST_QCHECK_COUNT" ];
+  rejects "unread axis" [ ("MJVM_TEST_OSRR", "on") ] ~needles:[ "MJVM_TEST_OSRR"; "on" ];
+  (* recognised values and unrelated variables pass *)
+  Test_env.check_env
+    [
+      ("MJVM_TEST_OPT", "ea");
+      ("MJVM_TEST_SUMMARIES", "off");
+      ("MJVM_TEST_CHECK_LEVEL", "every-phase");
+      ("MJVM_TEST_SERVE", "real");
+      ("MJVM_TEST_QCHECK_COUNT", "500");
+      ("PATH", "/bin");
+    ]
+
 let () =
   Alcotest.run "vm"
     [
@@ -135,4 +167,5 @@ let () =
             test_scalar_replacement_wins;
           Alcotest.test_case "lock elision removes monitor ops" `Quick test_lock_elision;
         ] );
+      ("test-env", [ Alcotest.test_case "rejects unknown values" `Quick test_env_rejects_unknown ]);
     ]
