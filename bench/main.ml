@@ -815,7 +815,7 @@ let profile_section () =
   let module Pheap = Pea_obs.Profile_heap in
   let src = inlining_workload () in
   let run ?(mode = Pea_vm.Jit.default_config.Pea_vm.Jit.compile_mode)
-      ?(collect_report = true) profiled =
+      ?(collect_report = true) ?(iters = 3) profiled =
     let config =
       {
         Pea_vm.Jit.default_config with
@@ -827,7 +827,7 @@ let profile_section () =
     let body cpu heap =
       let program = Pea_bytecode.Link.compile_source src in
       let vm = Pea_vm.Vm.create ~config program in
-      let r = Pea_vm.Vm.run_main_iterations vm 3 in
+      let r = Pea_vm.Vm.run_main_iterations vm iters in
       Pea_vm.Vm.quiesce vm;
       let report =
         match (cpu, heap) with
@@ -864,39 +864,51 @@ let profile_section () =
      always-on cost of sampling, not the one-shot readout), and takes the
      fastest of several interleaved batches per configuration: each rep
      builds a fresh VM and recompiles, so single-pass wall clock carries
-     enough scheduler noise to swamp a 10% budget. *)
-  let batches = 5 and reps = 10 in
-  let batch profiled =
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      ignore (run ~collect_report:false profiled)
+     enough scheduler noise to swamp a 10% budget. The long row runs
+     [long_iters] main iterations per VM, so each batch takes 0.5 s or
+     more and execution, not compilation, dominates it: it reports what
+     the profiler costs steady compiled code, with less timer noise than
+     the short row's 40 ms batches. It is reported, not gated. *)
+  let batches = 5 and reps = 10 and long_iters = 800 in
+  let timed ~iters =
+    let batch profiled =
+      let t0 = Sys.time () in
+      for _ = 1 to reps do
+        ignore (run ~collect_report:false ~iters profiled)
+      done;
+      Sys.time () -. t0
+    in
+    ignore (batch false) (* warm the allocator before timing *);
+    ignore (batch true);
+    let t_off = ref infinity and t_on = ref infinity in
+    for _ = 1 to batches do
+      t_off := Float.min !t_off (batch false);
+      t_on := Float.min !t_on (batch true)
     done;
-    Sys.time () -. t0
+    let overhead = if !t_off > 0. then !t_on /. !t_off else 1. in
+    Printf.printf
+      "wall clock, %d main iterations, best of %d batches x %d runs: off %.4fs, on %.4fs (%.3fx)\n"
+      iters batches reps !t_off !t_on overhead;
+    (!t_off, !t_on, overhead)
   in
-  ignore (batch false) (* warm the allocator before timing *);
-  ignore (batch true);
-  let t_off = ref infinity and t_on = ref infinity in
-  for _ = 1 to batches do
-    t_off := Float.min !t_off (batch false);
-    t_on := Float.min !t_on (batch true)
-  done;
-  let t_off = !t_off and t_on = !t_on in
-  let overhead = if t_off > 0. then t_on /. t_off else 1. in
-  Printf.printf "wall clock, best of %d batches x %d runs: off %.4fs, on %.4fs (%.3fx)\n" batches
-    reps t_off t_on overhead;
+  let t_off, t_on, overhead = timed ~iters:3 in
+  let long_off, long_on, long_overhead = timed ~iters:long_iters in
   Printf.printf
     "gate: counters identical with profiling on: %s; report identical across runs: %s; replay \
-     == async report: %s; overhead <= 1.10x: %s\n"
+     == async report: %s; overhead <= 1.10x: %s (long row %.3fx, not gated)\n"
     (gate "profiling counters identical" counters_identical)
     (gate "profile report deterministic" deterministic)
     (gate "profile replay == async" replay_async)
-    (gate "profiling overhead <= 1.10x" (overhead <= 1.10));
+    (gate "profiling overhead <= 1.10x" (overhead <= 1.10))
+    long_overhead;
   let oc = open_out "BENCH_profile.json" in
   Printf.fprintf oc
     "{\"workload\": \"megamorphic-inlining\", \"reps\": %d, \"wall_s_off\": %.6f, \"wall_s_on\": \
-     %.6f, \"overhead\": %.4f, \"overhead_ok\": %b, \"counters_identical\": %b, \
-     \"report_deterministic\": %b, \"replay_async_identical\": %b}\n"
-    reps t_off t_on overhead (overhead <= 1.10) counters_identical deterministic replay_async;
+     %.6f, \"overhead\": %.4f, \"overhead_ok\": %b, \"long_iters\": %d, \"long_wall_s_off\": \
+     %.6f, \"long_wall_s_on\": %.6f, \"long_overhead\": %.4f, \
+     \"counters_identical\": %b, \"report_deterministic\": %b, \"replay_async_identical\": %b}\n"
+    reps t_off t_on overhead (overhead <= 1.10) long_iters long_off long_on long_overhead
+    counters_identical deterministic replay_async;
   close_out oc;
   Printf.printf "wrote BENCH_profile.json\n"
 

@@ -8,11 +8,18 @@
 
    The first [create] seals the schema: declaring a metric against a
    sealed schema is a programming error and raises, so an instance can
-   never be out of sync with its schema. *)
+   never be out of sync with its schema. [reset] zeroes the counter
+   array in place, so hot paths may hold on to it ([cells]). *)
 
 type kind = Counter | Histogram
 
 type metric = { m_id : int; m_kind : kind; m_name : string; m_label : string }
+
+(* both handle types are the declaration record; the interface keeps
+   them apart, so no accessor needs a runtime kind check *)
+type counter = metric
+
+type histogram = metric
 
 type schema = {
   mutable defs_rev : metric list;
@@ -81,28 +88,19 @@ let reset t =
       h.hc_max <- 0)
     t.hists
 
-let check_kind m expected =
-  if m.m_kind <> expected then
-    invalid_arg
-      (Printf.sprintf "Metrics: %S is a %s" m.m_name
-         (match m.m_kind with Counter -> "counter" | Histogram -> "histogram"))
+let get t m = t.counters.(m.m_id)
 
-let get t m =
-  check_kind m Counter;
-  t.counters.(m.m_id)
+let set t m v = t.counters.(m.m_id) <- v
 
-let set t m v =
-  check_kind m Counter;
-  t.counters.(m.m_id) <- v
-
-let add t m v =
-  check_kind m Counter;
-  t.counters.(m.m_id) <- t.counters.(m.m_id) + v
+let add t m v = t.counters.(m.m_id) <- t.counters.(m.m_id) + v
 
 let incr t m = add t m 1
 
+let cells t = t.counters
+
+let slot m = m.m_id
+
 let observe t m v =
-  check_kind m Histogram;
   let h = t.hists.(m.m_id) in
   if h.hc_count = 0 then begin
     h.hc_min <- v;
@@ -116,7 +114,6 @@ let observe t m v =
   h.hc_sum <- h.hc_sum + v
 
 let hist t m =
-  check_kind m Histogram;
   let h = t.hists.(m.m_id) in
   { h_count = h.hc_count; h_sum = h.hc_sum; h_min = h.hc_min; h_max = h.hc_max }
 

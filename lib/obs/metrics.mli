@@ -8,18 +8,22 @@
     late declaration (which an existing instance could not store) raises
     [Invalid_argument]. *)
 
-type metric
-(** Handle to a declared counter or histogram. *)
+type counter
+(** Handle to a declared counter. *)
+
+type histogram
+(** Handle to a declared histogram. The two handle types keep counter
+    and histogram accessors apart at compile time. *)
 
 type schema
 
 val make_schema : unit -> schema
 
-val counter : schema -> ?label:string -> string -> metric
+val counter : schema -> ?label:string -> string -> counter
 (** [counter schema name] declares a counter. [label] (default [name])
     is the short key used by [pp]/[pp_counters]. *)
 
-val histogram : schema -> ?label:string -> string -> metric
+val histogram : schema -> ?label:string -> string -> histogram
 (** [histogram schema name] declares a histogram tracking count, sum,
     min and max of observed values. *)
 
@@ -30,24 +34,32 @@ val create : schema -> t
 (** Seals [schema] and returns a fresh zeroed instance. *)
 
 val reset : t -> unit
+(** Zeroes every metric in place: the array returned by [cells] stays the
+    live counter storage across resets. *)
 
-val get : t -> metric -> int
-(** Counter value. Raises [Invalid_argument] on a histogram handle (and
-    symmetrically for the other accessors). *)
+val get : t -> counter -> int
 
-val set : t -> metric -> int -> unit
+val set : t -> counter -> int -> unit
 
-val add : t -> metric -> int -> unit
+val add : t -> counter -> int -> unit
 
-val incr : t -> metric -> unit
+val incr : t -> counter -> unit
 
-val observe : t -> metric -> int -> unit
+val cells : t -> int array
+(** The live counter storage: [(cells t).(slot c)] is [get t c]. It is
+    allocated once by [create] and never replaced, so a hot path may
+    resolve it once and bump [cells.(i) <- cells.(i) + n] directly. *)
+
+val slot : counter -> int
+(** The index of a counter in [cells]. *)
+
+val observe : t -> histogram -> int -> unit
 (** Record one histogram observation. *)
 
 type hview = { h_count : int; h_sum : int; h_min : int; h_max : int }
 (** Histogram summary; [h_min]/[h_max] are 0 while [h_count] is 0. *)
 
-val hist : t -> metric -> hview
+val hist : t -> histogram -> hview
 
 type value = V_counter of int | V_histogram of hview
 

@@ -8,7 +8,7 @@
    the JIT literature (it is the move Graal makes when it hands IR to a
    backend): all of that work happens once, at closure-compile time.
 
-     - Every instruction becomes a pre-bound [regs -> unit] closure with
+     - Every instruction becomes a pre-bound [frame -> unit] closure with
        its operands, field offsets, class pointers and cost charges
        resolved at compile time; the per-op [Node.op] match disappears.
      - Every block fuses its instruction closures into one chain, followed
@@ -16,35 +16,57 @@
        a per-graph closure table, so loops run in constant stack space.
      - Phi routing is precomputed per [(pred, block)] edge into parallel
        assignment index arrays — no per-entry predecessor search, no list
-       allocation. The scratch buffer of the parallel move is shared
+       allocation. The scratch buffers of the parallel move are shared
        across invocations, which is safe because the move performs no
        calls (no reentrancy) and the VM is single-threaded.
      - Virtual [Invoke] sites get a monomorphic inline cache seeded from
        the interpreter's receiver profile: the fast path is one class-id
        check against a pre-resolved target; a miss falls back to
        {!Interp.dispatch_target} and rebiases the cache.
-     - Register files are pooled per compiled method across invocations
-       instead of [Array.make] per call (see the lifetime rules below).
+     - Frames are pooled per compiled method across invocations instead
+       of allocated per call (see the lifetime rules below).
+
+   Typed frames. A frame is two register files: [iv] holds ints and
+   booleans (as 0/1) unboxed, [rv] holds everything else as
+   [Value.value]. Translation infers one kind per node — Int for integer
+   constants, [Arith], [Neg] and [Array_length]; Bool for boolean
+   constants, [Not], [Cmp], [RefCmp], [Instance_of] and [Has_class]; a
+   normal-entry parameter takes the kind of its declared type; a phi is
+   Int or Bool when all its inputs agree (an optimistic fixpoint); every
+   other node is Ref: loads and invoke results (boxed in the heap
+   already), [null] and [Cundef] (so deopt still rebuilds [Vnull]), and
+   OSR parameters (whose locals may still be [Vnull]). Each node owns
+   exactly one slot in the file of its kind, so a frame holds no more
+   slots than the graph has nodes. Operand readers are chosen at
+   translation time: Int/Int arithmetic and comparisons run on [iv]
+   directly; a Ref read as an int or boolean goes through
+   [as_int]/[as_bool]; a Bool read as an int (only a corrupted graph has
+   one) boxes first and traps with {!Ir_exec}'s text. Values are boxed
+   only where they leave the frame: field, array and static stores,
+   invoke arguments, [Return], [Print], allocation field values, Ref phis
+   fed by an Int or Bool input, and the [Deoptimize] lookup closure.
+   Booleans box to the two static [Vbool] constants.
 
    Cost accounting is bit-for-bit identical to the {!Ir_exec} reference:
    each closure charges exactly the cycles and [compiled_ops] it charges
-   for the same operation, in the same order relative to traps.
-   Inline caches and register pooling are wall-clock optimizations only
-   and add no model cycles.
+   for the same operation, in the same order relative to traps. The
+   charges bump the live counter cells ({!Stats.cells}) resolved once per
+   translation, with no call. Inline caches, typed frames and pooling are
+   wall-clock optimizations only and add no model cycles.
 
-   Register-file lifetime rules: a register file is acquired from the pool
-   on entry and released on normal return and on an MJ exception unwinding
-   through this frame. A [Deopt] terminator is the delicate case: the
-   [Deoptimize] exception carries a [regs]-backed lookup closure that
+   Frame lifetime rules: a frame is acquired from the pool on entry and
+   released on normal return and on an MJ exception unwinding through
+   this frame. A [Deopt] terminator is the delicate case: the
+   [Deoptimize] exception carries a frame-backed lookup closure that
    {!Deopt.handle} consults after re-entrant interpreter execution, so the
-   file must survive until the handler finishes. When the caller passes a
-   [?deopt] handler, [run] invokes it in-frame and releases the file
+   frame must survive until the handler finishes. When the caller passes
+   a [?deopt] handler, [run] invokes it in-frame and releases the frame
    afterwards (the lookup closure is dead by then); without a handler the
-   exception propagates and the file leaks with it — the VM always passes
-   a handler. Released files keep their stale values; that is sound
-   because SSA guarantees every read is dominated by a write in the same
-   invocation, and frame states only reference dominating definitions
-   (enforced by the IR checker). *)
+   exception propagates and the frame leaks with it — the VM always
+   passes a handler. Released frames keep their stale values; that is
+   sound because SSA guarantees every read is dominated by a write in the
+   same invocation, and frame states only reference dominating
+   definitions (enforced by the IR checker). *)
 
 open Pea_bytecode
 open Pea_ir
@@ -53,11 +75,16 @@ open Value
 module Event = Pea_obs.Event
 module Trace = Pea_obs.Trace
 
+type frame = { iv : int array; rv : Value.value array }
+
+type kind = K_int | K_bool | K_ref
+
 type code = {
-  nregs : int;
-  param_ids : int array; (* Param node ids, in parameter order *)
-  entry : Value.value array -> Value.value option;
-  mutable pool : Value.value array list; (* free register files *)
+  n_int : int;
+  n_ref : int;
+  binders : (frame -> Value.value -> unit) array; (* one per parameter, in order *)
+  entry : frame -> Value.value option;
+  mutable pool : frame list; (* free frames *)
   method_name : string; (* for trap messages *)
 }
 
@@ -67,7 +94,95 @@ let as_int = function Vint n -> n | v -> trap "expected int, found %s" (string_o
 
 let as_bool = function Vbool b -> b | v -> trap "expected boolean, found %s" (string_of_value v)
 
-let const_value = Ir_exec.const_value
+let box_bool b = if b then Vbool true else Vbool false
+
+let ops_slot = Stats.slot Stats.compiled_ops
+
+let cycles_slot = Stats.slot Stats.cycles
+
+(* one compiled op of [cy] cycles, charged before the operation body
+   exactly like {!Ir_exec} charges before trapping *)
+let[@inline] bump (cells : int array) cy =
+  cells.(ops_slot) <- cells.(ops_slot) + 1;
+  cells.(cycles_slot) <- cells.(cycles_slot) + cy
+
+(* a branch: cycles only, no compiled op *)
+let[@inline] charge_branch (cells : int array) =
+  cells.(cycles_slot) <- cells.(cycles_slot) + Cost.compiled_op
+
+(* ------------------------------------------------------------------ *)
+(* Kinds and slots                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let op_kind (op : Node.op) =
+  match op with
+  | Node.Const (Node.Cint _) | Node.Arith _ | Node.Neg _ | Node.Array_length _ -> K_int
+  | Node.Const (Node.Cbool _)
+  | Node.Not _ | Node.Cmp _ | Node.RefCmp _ | Node.Instance_of _ | Node.Has_class _ ->
+      K_bool
+  | _ -> K_ref
+
+let infer_kinds (g : Graph.t) : kind array =
+  let n = max (Graph.n_nodes g) 1 in
+  let kinds = Array.make n K_ref in
+  let m = g.Graph.g_method in
+  let param_kind i =
+    let sig_index = if m.Classfile.mth_static then i else i - 1 in
+    if g.Graph.g_osr_entry <> None || sig_index < 0 then K_ref
+    else
+      match List.nth_opt m.Classfile.mth_params sig_index with
+      | Some Pea_mjava.Ast.Tint -> K_int
+      | Some Pea_mjava.Ast.Tbool -> K_bool
+      | _ -> K_ref
+  in
+  let set (nd : Node.t) =
+    kinds.(nd.Node.id) <-
+      (match nd.Node.op with Node.Param i -> param_kind i | op -> op_kind op)
+  in
+  List.iter set g.Graph.params;
+  let phis = ref [] in
+  Graph.iter_blocks
+    (fun b ->
+      phis := b.Graph.phis @ !phis;
+      Pea_support.Dyn_array.iter set b.Graph.instrs)
+    g;
+  let phis = !phis in
+  (* optimistic fixpoint over phis (which start out Ref in [kinds]): a
+     [top] phi is not yet constrained and is the identity of the meet; a
+     phi whose inputs disagree is Ref. Phis still unconstrained at the
+     fixpoint (cycles with no other input) stay Ref, and the meet re-runs
+     with them. *)
+  let top = Array.make n false in
+  List.iter (fun (p : Node.t) -> top.(p.Node.id) <- true) phis;
+  let kind id =
+    if id < 0 || id >= n then Some K_ref else if top.(id) then None else Some kinds.(id)
+  in
+  let meet a b =
+    match (a, b) with None, k | k, None -> k | Some x, Some y -> Some (if x = y then x else K_ref)
+  in
+  let rec fix () =
+    let changed = ref false in
+    List.iter
+      (fun (p : Node.t) ->
+        match p.Node.op with
+        | Node.Phi ph -> (
+            match Array.fold_left (fun acc id -> meet acc (kind id)) None ph.Node.inputs with
+            | Some k when top.(p.Node.id) || k <> kinds.(p.Node.id) ->
+                top.(p.Node.id) <- false;
+                kinds.(p.Node.id) <- k;
+                changed := true
+            | _ -> ())
+        | _ -> ())
+      phis;
+    match List.filter (fun (p : Node.t) -> top.(p.Node.id)) phis with
+    | _ when !changed -> fix ()
+    | [] -> ()
+    | stuck ->
+        List.iter (fun (p : Node.t) -> top.(p.Node.id) <- false) stuck;
+        fix ()
+  in
+  fix ();
+  kinds
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -76,241 +191,327 @@ let const_value = Ir_exec.const_value
 let compile (env : Interp.env) (g : Graph.t) : code =
   let meth = Classfile.qualified_name g.Graph.g_method in
   let stats = env.Interp.stats in
+  let cells = Stats.cells stats in
   let heap = env.Interp.heap in
   let globals = env.Interp.globals in
   let profile = env.Interp.profile in
   let on_invoke = env.Interp.on_invoke in
   let on_print = env.Interp.on_print in
-  (* the closure table control transfers jump through; filled below *)
-  let bodies : (Value.value array -> Value.value option) array =
-    Array.make (Graph.n_blocks g) (fun _ -> trap "closure tier: jump into an uncompiled block")
+  let kinds = infer_kinds g in
+  (* one slot per node, numbered separately in each file *)
+  let n_int = ref 0 and n_ref = ref 0 in
+  let slots =
+    Array.map
+      (fun k ->
+        let counter = if k = K_ref then n_ref else n_int in
+        let s = !counter in
+        incr counter;
+        s)
+      kinds
   in
-  (* counter bumps shared by every instruction closure; [cy] is the full
-     pre-resolved charge (base + operation-specific), applied before the
-     operation body exactly like {!Ir_exec} charges before trapping *)
-  let bump cy =
-    Stats.incr stats Stats.compiled_ops;
-    Stats.add stats Stats.cycles cy
+  let slot id = slots.(id) in
+  (* operand readers, chosen per node kind *)
+  let read_v id : frame -> Value.value =
+    let s = slot id in
+    match kinds.(id) with
+    | K_ref -> fun fr -> fr.rv.(s)
+    | K_int -> fun fr -> Vint fr.iv.(s)
+    | K_bool -> fun fr -> box_bool (fr.iv.(s) <> 0)
+  in
+  let read_i id : frame -> int =
+    let s = slot id in
+    match kinds.(id) with
+    | K_int -> fun fr -> fr.iv.(s)
+    | K_ref -> fun fr -> as_int fr.rv.(s)
+    | K_bool -> fun fr -> as_int (box_bool (fr.iv.(s) <> 0))
+  in
+  let read_b id : frame -> bool =
+    let s = slot id in
+    match kinds.(id) with
+    | K_bool -> fun fr -> fr.iv.(s) <> 0
+    | K_ref -> fun fr -> as_bool fr.rv.(s)
+    | K_int -> fun fr -> as_bool (Vint fr.iv.(s))
+  in
+  let int_slot id = if kinds.(id) = K_int then Some (slot id) else None in
+  (* the closure table control transfers jump through; filled below *)
+  let bodies : (frame -> Value.value option) array =
+    Array.make (Graph.n_blocks g) (fun _ -> trap "closure tier: jump into an uncompiled block")
   in
   let base = Cost.compiled_op in
   (* bytecode-site attribution, pre-resolved like every other operand so
      the profiler checks below cost one bool load when profiling is off *)
   let sites, block_bcis = Ir_exec.site_tables g in
-  let build_args arg_ids regs =
-    Array.fold_right (fun id acc -> regs.(id) :: acc) arg_ids []
+  let args_of readers fr =
+    let rec go i acc = if i < 0 then acc else go (i - 1) (readers.(i) fr :: acc) in
+    go (Array.length readers - 1) []
   in
-  let compile_instr (n : Node.t) : Value.value array -> unit =
-    let dst = n.Node.id in
+  let fill dst readers fr =
+    for i = 0 to Array.length readers - 1 do
+      dst.(i) <- readers.(i) fr
+    done
+  in
+  let compile_instr (n : Node.t) : frame -> unit =
+    let d = slot n.Node.id in
+    let set_bool fr b = fr.iv.(d) <- Bool.to_int b in
     match n.Node.op with
-    | Node.Const c ->
-        let value = const_value c in
-        fun regs ->
-          bump base;
-          regs.(dst) <- value
-    | Node.Param _ -> fun _ -> bump base (* bound at entry *)
+    | Node.Const (Node.Cint k) ->
+        fun fr ->
+          bump cells base;
+          fr.iv.(d) <- k
+    | Node.Const (Node.Cbool b) ->
+        let k = Bool.to_int b in
+        fun fr ->
+          bump cells base;
+          fr.iv.(d) <- k
+    | Node.Const (Node.Cnull | Node.Cundef) ->
+        fun fr ->
+          bump cells base;
+          fr.rv.(d) <- Vnull
+    | Node.Param _ -> fun _ -> bump cells base (* bound at entry *)
     | Node.Phi _ -> assert false
-    | Node.Arith (k, a, b) ->
-        let f =
-          match k with
-          | Node.Add -> fun x y -> x + y
-          | Node.Sub -> fun x y -> x - y
-          | Node.Mul -> fun x y -> x * y
-          | Node.Div -> fun x y -> if y = 0 then trap "division by zero" else x / y
-          | Node.Rem -> fun x y -> if y = 0 then trap "division by zero" else x mod y
-        in
-        fun regs ->
-          bump base;
-          regs.(dst) <- Vint (f (as_int regs.(a)) (as_int regs.(b)))
+    | Node.Arith (k, a, b) -> (
+        match (k, int_slot a, int_slot b) with
+        | Node.Add, Some a, Some b ->
+            fun fr ->
+              bump cells base;
+              let iv = fr.iv in
+              iv.(d) <- iv.(a) + iv.(b)
+        | Node.Sub, Some a, Some b ->
+            fun fr ->
+              bump cells base;
+              let iv = fr.iv in
+              iv.(d) <- iv.(a) - iv.(b)
+        | Node.Mul, Some a, Some b ->
+            fun fr ->
+              bump cells base;
+              let iv = fr.iv in
+              iv.(d) <- iv.(a) * iv.(b)
+        | _ ->
+            let f =
+              match k with
+              | Node.Add -> ( + )
+              | Node.Sub -> ( - )
+              | Node.Mul -> ( * )
+              | Node.Div -> fun x y -> if y = 0 then trap "division by zero" else x / y
+              | Node.Rem -> fun x y -> if y = 0 then trap "division by zero" else x mod y
+            in
+            let ra = read_i a and rb = read_i b in
+            fun fr ->
+              bump cells base;
+              let x = ra fr in
+              let y = rb fr in
+              fr.iv.(d) <- f x y)
     | Node.Neg a ->
-        fun regs ->
-          bump base;
-          regs.(dst) <- Vint (-as_int regs.(a))
+        let ra = read_i a in
+        fun fr ->
+          bump cells base;
+          fr.iv.(d) <- -ra fr
     | Node.Not a ->
-        fun regs ->
-          bump base;
-          regs.(dst) <- Vbool (not (as_bool regs.(a)))
-    | Node.Cmp (c, a, b) ->
-        let f =
+        let ra = read_b a in
+        fun fr ->
+          bump cells base;
+          set_bool fr (not (ra fr))
+    | Node.Cmp (c, a, b) -> (
+        let f : int -> int -> bool =
           match c with
-          | Classfile.Clt -> fun x y -> x < y
-          | Classfile.Cle -> fun x y -> x <= y
-          | Classfile.Cgt -> fun x y -> x > y
-          | Classfile.Cge -> fun x y -> x >= y
-          | Classfile.Ceq -> fun x y -> x = y
-          | Classfile.Cne -> fun x y -> x <> y
+          | Classfile.Clt -> ( < )
+          | Classfile.Cle -> ( <= )
+          | Classfile.Cgt -> ( > )
+          | Classfile.Cge -> ( >= )
+          | Classfile.Ceq -> ( = )
+          | Classfile.Cne -> ( <> )
         in
-        fun regs ->
-          bump base;
-          regs.(dst) <- Vbool (f (as_int regs.(a)) (as_int regs.(b)))
-    | Node.RefCmp (c, a, b) -> (
-        match c with
-        | Classfile.AEq ->
-            fun regs ->
-              bump base;
-              regs.(dst) <- Vbool (equal_value regs.(a) regs.(b))
-        | Classfile.ANe ->
-            fun regs ->
-              bump base;
-              regs.(dst) <- Vbool (not (equal_value regs.(a) regs.(b))))
+        match (int_slot a, int_slot b) with
+        | Some a, Some b ->
+            fun fr ->
+              bump cells base;
+              let iv = fr.iv in
+              iv.(d) <- Bool.to_int (f iv.(a) iv.(b))
+        | _ ->
+            let ra = read_i a and rb = read_i b in
+            fun fr ->
+              bump cells base;
+              let x = ra fr in
+              let y = rb fr in
+              set_bool fr (f x y))
+    | Node.RefCmp (c, a, b) ->
+        let ra = read_v a and rb = read_v b in
+        let ne = c = Classfile.ANe in
+        fun fr ->
+          bump cells base;
+          set_bool fr (equal_value (ra fr) (rb fr) <> ne)
     | Node.New cls ->
-        let mid, bci = sites.(dst) in
+        let mid, bci = sites.(n.Node.id) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
-        fun regs ->
-          bump base;
+        fun fr ->
+          bump cells base;
           if Pea_obs.Profile_heap.enabled () then
             Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name
               ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
-          regs.(dst) <- Vobj (Heap.alloc_object heap cls)
+          fr.rv.(d) <- Vobj (Heap.alloc_object heap cls)
     | Node.Alloc (cls, field_values) ->
-        let mid, bci = sites.(dst) in
+        let mid, bci = sites.(n.Node.id) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
-        fun regs ->
-          bump base;
+        let fields = Array.map read_v field_values in
+        fun fr ->
+          bump cells base;
           if Pea_obs.Profile_heap.enabled () then
             Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name
               ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
           let o = Heap.alloc_object heap cls in
-          Array.iteri (fun i fv -> o.o_fields.(i) <- regs.(fv)) field_values;
-          regs.(dst) <- Vobj o
+          fill o.o_fields fields fr;
+          fr.rv.(d) <- Vobj o
     | Node.Alloc_array (elem, elem_values) ->
         let len = Array.length elem_values in
-        let mid, bci = sites.(dst) in
+        let mid, bci = sites.(n.Node.id) in
         let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
         let bytes = Value.array_bytes elem len in
-        fun regs -> (
-          bump base;
+        let elems = Array.map read_v elem_values in
+        fun fr -> (
+          bump cells base;
           match Heap.alloc_array heap elem len with
           | arr ->
               if Pea_obs.Profile_heap.enabled () then
                 Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name
                   ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
-              Array.iteri (fun i fv -> arr.a_elems.(i) <- regs.(fv)) elem_values;
-              regs.(dst) <- Varr arr
+              fill arr.a_elems elems fr;
+              fr.rv.(d) <- Varr arr
           | exception Heap.Negative_array_size k -> trap "negative array size %d" k)
     | Node.Stack_alloc (k, cls, field_values) ->
-        let mid, bci = sites.(dst) in
+        let mid, bci = sites.(n.Node.id) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
+        let fields = Array.map read_v field_values in
         let kind, alloc =
           match k with
           | Node.Sk_scratch -> (Pea_obs.Profile_heap.K_scratch, Heap.alloc_object_scratch)
           | Node.Sk_frame -> (Pea_obs.Profile_heap.K_stack, Heap.alloc_object_stack)
         in
-        fun regs ->
-          bump base;
+        fun fr ->
+          bump cells base;
           if Pea_obs.Profile_heap.enabled () then
             Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name ~kind ~bytes;
           let o = alloc heap cls in
-          Array.iteri (fun i fv -> o.o_fields.(i) <- regs.(fv)) field_values;
-          regs.(dst) <- Vobj o
+          fill o.o_fields fields fr;
+          fr.rv.(d) <- Vobj o
     | Node.Stack_alloc_array (k, elem, elem_values) ->
         let len = Array.length elem_values in
-        let mid, bci = sites.(dst) in
+        let mid, bci = sites.(n.Node.id) in
         let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
         let bytes = Value.array_bytes elem len in
+        let elems = Array.map read_v elem_values in
         let kind, alloc =
           match k with
           | Node.Sk_scratch -> (Pea_obs.Profile_heap.K_scratch, Heap.alloc_array_scratch)
           | Node.Sk_frame -> (Pea_obs.Profile_heap.K_stack, Heap.alloc_array_stack)
         in
-        fun regs ->
-          bump base;
+        fun fr ->
+          bump cells base;
           if Pea_obs.Profile_heap.enabled () then
             Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name ~kind ~bytes;
           let arr = alloc heap elem len in
-          Array.iteri (fun i fv -> arr.a_elems.(i) <- regs.(fv)) elem_values;
-          regs.(dst) <- Varr arr
+          fill arr.a_elems elems fr;
+          fr.rv.(d) <- Varr arr
     | Node.New_array (elem, len) ->
-        let mid, bci = sites.(dst) in
+        let mid, bci = sites.(n.Node.id) in
         let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
-        fun regs -> (
-          bump base;
-          match Heap.alloc_array heap elem (as_int regs.(len)) with
+        let rlen = read_i len in
+        fun fr -> (
+          bump cells base;
+          match Heap.alloc_array heap elem (rlen fr) with
           | arr ->
               if Pea_obs.Profile_heap.enabled () then
                 Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name
                   ~kind:Pea_obs.Profile_heap.K_alloc
                   ~bytes:(Value.array_bytes elem (Array.length arr.a_elems));
-              regs.(dst) <- Varr arr
+              fr.rv.(d) <- Varr arr
           | exception Heap.Negative_array_size k -> trap "negative array size %d" k)
     | Node.Load_field (o, f) ->
         let off = f.Classfile.fld_offset in
         let name = f.Classfile.fld_name in
         let cy = base + Cost.field_access in
-        fun regs -> (
-          bump cy;
-          match regs.(o) with
-          | Vobj obj -> regs.(dst) <- obj.o_fields.(off)
+        let ro = read_v o in
+        fun fr -> (
+          bump cells cy;
+          match ro fr with
+          | Vobj obj -> fr.rv.(d) <- obj.o_fields.(off)
           | Vnull -> trap "null dereference reading %s" name
           | _ -> trap "field load on a non-object")
     | Node.Store_field (o, f, x) ->
         let off = f.Classfile.fld_offset in
         let name = f.Classfile.fld_name in
         let cy = base + Cost.field_access in
-        fun regs -> (
-          bump cy;
-          match regs.(o) with
-          | Vobj obj -> obj.o_fields.(off) <- regs.(x)
+        let ro = read_v o and rx = read_v x in
+        fun fr -> (
+          bump cells cy;
+          match ro fr with
+          | Vobj obj -> obj.o_fields.(off) <- rx fr
           | Vnull -> trap "null dereference writing %s" name
           | _ -> trap "field store on a non-object")
     | Node.Load_static sf ->
         let idx = sf.Classfile.sf_index in
         let cy = base + Cost.static_access in
-        fun regs ->
-          bump cy;
-          regs.(dst) <- globals.(idx)
+        fun fr ->
+          bump cells cy;
+          fr.rv.(d) <- globals.(idx)
     | Node.Store_static (sf, x) ->
         let idx = sf.Classfile.sf_index in
         let cy = base + Cost.static_access in
-        fun regs ->
-          bump cy;
-          globals.(idx) <- regs.(x)
+        let rx = read_v x in
+        fun fr ->
+          bump cells cy;
+          globals.(idx) <- rx fr
     | Node.Array_load (a, i) ->
         let cy = base + Cost.array_access in
-        fun regs -> (
-          bump cy;
-          match regs.(a) with
+        let ra = read_v a and ri = read_i i in
+        fun fr -> (
+          bump cells cy;
+          match ra fr with
           | Varr arr ->
-              let idx = as_int regs.(i) in
+              let idx = ri fr in
               if idx < 0 || idx >= Array.length arr.a_elems then
                 trap "array index %d out of bounds" idx;
-              regs.(dst) <- arr.a_elems.(idx)
+              fr.rv.(d) <- arr.a_elems.(idx)
           | Vnull -> trap "null dereference at array load"
           | _ -> trap "array load on a non-array")
     | Node.Array_store (a, i, x) ->
         let cy = base + Cost.array_access in
-        fun regs -> (
-          bump cy;
-          match regs.(a) with
+        let ra = read_v a and ri = read_i i and rx = read_v x in
+        fun fr -> (
+          bump cells cy;
+          match ra fr with
           | Varr arr ->
-              let idx = as_int regs.(i) in
+              let idx = ri fr in
               if idx < 0 || idx >= Array.length arr.a_elems then
                 trap "array index %d out of bounds" idx;
-              arr.a_elems.(idx) <- regs.(x)
+              arr.a_elems.(idx) <- rx fr
           | Vnull -> trap "null dereference at array store"
           | _ -> trap "array store on a non-array")
     | Node.Array_length a ->
-        fun regs -> (
-          bump base;
-          match regs.(a) with
-          | Varr arr -> regs.(dst) <- Vint (Array.length arr.a_elems)
+        let ra = read_v a in
+        fun fr -> (
+          bump cells base;
+          match ra fr with
+          | Varr arr -> fr.iv.(d) <- Array.length arr.a_elems
           | Vnull -> trap "null dereference at arraylength"
           | _ -> trap "arraylength on a non-array")
     | Node.Monitor_enter a ->
-        fun regs -> (
-          bump base;
-          match regs.(a) with
+        let ra = read_v a in
+        fun fr -> (
+          bump cells base;
+          match ra fr with
           | Vnull -> trap "monitorenter on null"
           | x -> (
               match Heap.monitor_enter heap x with
               | () -> ()
               | exception Heap.Unbalanced_monitor msg -> trap "%s" msg))
     | Node.Monitor_exit a ->
-        fun regs -> (
-          bump base;
-          match regs.(a) with
+        let ra = read_v a in
+        fun fr -> (
+          bump cells base;
+          match ra fr with
           | Vnull -> trap "monitorexit on null"
           | x -> (
               match Heap.monitor_exit heap x with
@@ -318,20 +519,21 @@ let compile (env : Interp.env) (g : Graph.t) : code =
               | exception Heap.Unbalanced_monitor msg -> trap "%s" msg))
     | Node.Invoke (kind, callee, arg_ids) -> (
         let cy = base + Cost.invoke in
+        let args = Array.map read_v arg_ids in
         match kind with
         | Node.Special ->
-            fun regs ->
-              bump cy;
-              let args = build_args arg_ids regs in
+            fun fr ->
+              bump cells cy;
+              let args = args_of args fr in
               (match args with
               | Vnull :: _ -> trap "null receiver in constructor call"
               | _ -> ());
               ignore (on_invoke callee args)
         | Node.Static ->
-            fun regs -> (
-              bump cy;
-              match on_invoke callee (build_args arg_ids regs) with
-              | Some r -> regs.(dst) <- r
+            fun fr -> (
+              bump cells cy;
+              match on_invoke callee (args_of args fr) with
+              | Some r -> fr.rv.(d) <- r
               | None -> ())
         | Node.Virtual ->
             (* monomorphic inline cache: (class id, pre-resolved target),
@@ -366,9 +568,9 @@ let compile (env : Interp.env) (g : Graph.t) : code =
             let ic =
               ref (Option.map (fun (cls, tgt) -> (cls.Classfile.cls_id, tgt)) seed)
             in
-            fun regs ->
-              bump cy;
-              let args = build_args arg_ids regs in
+            fun fr ->
+              bump cells cy;
+              let args = args_of args fr in
               let recv = match args with r :: _ -> r | [] -> trap "missing receiver" in
               let target =
                 match (recv, !ic) with
@@ -394,46 +596,49 @@ let compile (env : Interp.env) (g : Graph.t) : code =
                     tgt
               in
               (match on_invoke target args with
-              | Some r -> regs.(dst) <- r
+              | Some r -> fr.rv.(d) <- r
               | None -> ()))
     | Node.Instance_of (a, cls) ->
-        fun regs ->
-          bump base;
-          regs.(dst) <- Vbool (Interp.value_instanceof regs.(a) cls)
+        let ra = read_v a in
+        fun fr ->
+          bump cells base;
+          set_bool fr (Interp.value_instanceof (ra fr) cls)
     | Node.Has_class (a, cls) ->
         (* exact-class guard: no subclass walk, false for null and arrays *)
         let cid = cls.Classfile.cls_id in
-        fun regs ->
-          bump base;
-          regs.(dst) <-
-            Vbool
-              (match regs.(a) with
-              | Vobj o -> o.o_cls.Classfile.cls_id = cid
-              | _ -> false)
+        let ra = read_v a in
+        fun fr ->
+          bump cells base;
+          set_bool fr (match ra fr with Vobj o -> o.o_cls.Classfile.cls_id = cid | _ -> false)
     | Node.Check_cast (a, cls) ->
         let cls_name = cls.Classfile.cls_name in
-        fun regs -> (
-          bump base;
-          match regs.(a) with
-          | Vnull -> regs.(dst) <- Vnull
+        let ra = read_v a in
+        fun fr -> (
+          bump cells base;
+          match ra fr with
+          | Vnull -> fr.rv.(d) <- Vnull
           | x ->
-              if Interp.value_instanceof x cls then regs.(dst) <- x
+              if Interp.value_instanceof x cls then fr.rv.(d) <- x
               else trap "cannot cast %s to %s" (string_of_value x) cls_name)
     | Node.Null_check a ->
-        fun regs ->
-          bump base;
-          (match regs.(a) with Vnull -> trap "null dereference" | _ -> ())
+        let ra = read_v a in
+        fun fr ->
+          bump cells base;
+          (match ra fr with Vnull -> trap "null dereference" | _ -> ())
     | Node.Print a ->
-        fun regs ->
-          bump base;
-          on_print regs.(a)
+        let ra = read_v a in
+        fun fr ->
+          bump cells base;
+          on_print (ra fr)
   in
   (* the (pred -> succ) control-transfer closure: the phi parallel move for
-     that edge, resolved to index arrays at compile time, then the jump *)
-  let compile_edge ~pred ~succ : Value.value array -> Value.value option =
+     that edge, resolved at compile time to one move per register file,
+     then the jump. Int and Bool phis move within [iv]; Ref phis read
+     through their input's reader, boxing Int and Bool inputs. *)
+  let compile_edge ~pred ~succ : frame -> Value.value option =
     let sb = Graph.block g succ in
     match sb.Graph.phis with
-    | [] -> fun regs -> bodies.(succ) regs
+    | [] -> fun fr -> bodies.(succ) fr
     | phis -> (
         let rec find i = function
           | [] -> None
@@ -443,41 +648,58 @@ let compile (env : Interp.env) (g : Graph.t) : code =
         match find 0 sb.Graph.preds with
         | None -> fun _ -> trap "phi resolution: B%d is not a predecessor of B%d" pred succ
         | Some idx ->
-            let dsts = Array.of_list (List.map (fun (p : Node.t) -> p.Node.id) phis) in
-            let srcs =
-              Array.of_list
-                (List.map
-                   (fun (p : Node.t) ->
-                     match p.Node.op with
-                     | Node.Phi ph -> ph.Node.inputs.(idx)
-                     | _ -> assert false)
-                   phis)
+            let input (p : Node.t) =
+              match p.Node.op with Node.Phi ph -> ph.Node.inputs.(idx) | _ -> assert false
             in
+            let ref_phis, int_phis =
+              List.partition (fun (p : Node.t) -> kinds.(p.Node.id) = K_ref) phis
+            in
+            let slots_of f ps = Array.of_list (List.map (fun p -> slot (f p)) ps) in
+            let idsts = slots_of (fun (p : Node.t) -> p.Node.id) int_phis in
+            let isrcs = slots_of input int_phis in
+            let rdsts = slots_of (fun (p : Node.t) -> p.Node.id) ref_phis in
+            let rsrcs = Array.of_list (List.map (fun p -> read_v (input p)) ref_phis) in
             (* shared scratch is safe: the move makes no calls *)
-            let tmp = Array.make (Array.length dsts) Vnull in
-            fun regs ->
-              for i = 0 to Array.length srcs - 1 do
-                tmp.(i) <- regs.(srcs.(i))
+            let itmp = Array.make (Array.length idsts) 0 in
+            let rtmp = Array.make (Array.length rdsts) Vnull in
+            fun fr ->
+              let iv = fr.iv and rv = fr.rv in
+              fill rtmp rsrcs fr;
+              for i = 0 to Array.length isrcs - 1 do
+                itmp.(i) <- iv.(isrcs.(i))
               done;
-              for i = 0 to Array.length dsts - 1 do
-                regs.(dsts.(i)) <- tmp.(i)
+              for i = 0 to Array.length idsts - 1 do
+                iv.(idsts.(i)) <- itmp.(i)
               done;
-              bodies.(succ) regs)
+              for i = 0 to Array.length rdsts - 1 do
+                rv.(rdsts.(i)) <- rtmp.(i)
+              done;
+              bodies.(succ) fr)
   in
-  let compile_term (b : Graph.block) : Value.value array -> Value.value option =
+  let compile_term (b : Graph.block) : frame -> Value.value option =
     match b.Graph.term with
     | Graph.Return None -> fun _ -> None
-    | Graph.Return (Some x) -> fun regs -> Some regs.(x)
-    | Graph.Deopt d -> fun regs -> raise (Ir_exec.Deoptimize (d, fun id -> regs.(id)))
+    | Graph.Return (Some x) ->
+        let rx = read_v x in
+        fun fr -> Some (rx fr)
+    | Graph.Deopt d -> fun fr -> raise (Ir_exec.Deoptimize (d, fun id -> read_v id fr))
     | Graph.Trap msg -> fun _ -> trap "%s" msg
     | Graph.Unreachable -> fun _ -> trap "reached an Unreachable terminator"
     | Graph.Goto t -> compile_edge ~pred:b.Graph.b_id ~succ:t
-    | Graph.If { cond; tru; fls; _ } ->
+    | Graph.If { cond; tru; fls; _ } -> (
         let et = compile_edge ~pred:b.Graph.b_id ~succ:tru in
         let ef = compile_edge ~pred:b.Graph.b_id ~succ:fls in
-        fun regs ->
-          Stats.add stats Stats.cycles Cost.compiled_op;
-          if as_bool regs.(cond) then et regs else ef regs
+        match kinds.(cond) with
+        | K_bool ->
+            let c = slot cond in
+            fun fr ->
+              charge_branch cells;
+              if fr.iv.(c) <> 0 then et fr else ef fr
+        | _ ->
+            let rc = read_b cond in
+            fun fr ->
+              charge_branch cells;
+              if rc fr then et fr else ef fr)
   in
   let reachable = Graph.reachable g in
   Graph.iter_blocks
@@ -492,9 +714,9 @@ let compile (env : Interp.env) (g : Graph.t) : code =
               | None -> Some f
               | Some chain ->
                   Some
-                    (fun regs ->
-                      chain regs;
-                      f regs))
+                    (fun fr ->
+                      chain fr;
+                      f fr))
             None b.Graph.instrs
         in
         (* profiler safepoint on block entry: edge phi moves charge no
@@ -504,19 +726,27 @@ let compile (env : Interp.env) (g : Graph.t) : code =
           match fused with
           | None -> term
           | Some body ->
-              fun regs ->
-                body regs;
-                term regs
+              fun fr ->
+                body fr;
+                term fr
         in
         bodies.(b.Graph.b_id) <-
-          (fun regs ->
+          (fun fr ->
             if Pea_obs.Profile_cpu.enabled () then Pea_obs.Profile_cpu.poll sample_bci;
-            inner regs)
+            inner fr)
       end)
     g;
+  let binder (p : Node.t) : frame -> Value.value -> unit =
+    let s = slot p.Node.id in
+    match kinds.(p.Node.id) with
+    | K_ref -> fun fr v -> fr.rv.(s) <- v
+    | K_int -> fun fr v -> fr.iv.(s) <- as_int v
+    | K_bool -> fun fr v -> fr.iv.(s) <- Bool.to_int (as_bool v)
+  in
   {
-    nregs = max (Graph.n_nodes g) 1;
-    param_ids = Array.of_list (List.map (fun (p : Node.t) -> p.Node.id) g.Graph.params);
+    n_int = !n_int;
+    n_ref = !n_ref;
+    binders = Array.of_list (List.map binder g.Graph.params);
     entry = bodies.(Graph.entry_id);
     pool = [];
     method_name = meth;
@@ -529,41 +759,41 @@ let compile (env : Interp.env) (g : Graph.t) : code =
 let pool_depth code = List.length code.pool
 
 let run ?deopt (code : code) (args : Value.value list) : Value.value option =
-  let regs =
+  let fr =
     match code.pool with
-    | [] -> Array.make code.nregs Vnull
-    | a :: rest ->
+    | [] -> { iv = Array.make code.n_int 0; rv = Array.make code.n_ref Vnull }
+    | f :: rest ->
         code.pool <- rest;
-        a
+        f
   in
-  let param_ids = code.param_ids in
-  let n_params = Array.length param_ids in
+  let binders = code.binders in
+  let n_params = Array.length binders in
   let rec bind i args =
     if i < n_params then
       match args with
       | v :: vs ->
-          regs.(param_ids.(i)) <- v;
+          binders.(i) fr v;
           bind (i + 1) vs
       | [] -> trap "missing argument %d for %s" i code.method_name
   in
   bind 0 args;
-  match code.entry regs with
+  match code.entry fr with
   | r ->
-      code.pool <- regs :: code.pool;
+      code.pool <- fr :: code.pool;
       r
   | exception (Ir_exec.Deoptimize (d, lookup) as e) -> (
       match deopt with
       | Some handler ->
-          (* [regs] stays live through the lookup closure until the handler
+          (* [fr] stays live through the lookup closure until the handler
              returns (or raises through re-entrant interpretation); only
              then is it safe to put it back in the pool *)
           Fun.protect
-            ~finally:(fun () -> code.pool <- regs :: code.pool)
+            ~finally:(fun () -> code.pool <- fr :: code.pool)
             (fun () -> handler d lookup)
       | None ->
-          (* no in-frame handler: the exception carries the [regs]-backed
-             lookup out of this frame, so the file must leak with it *)
+          (* no in-frame handler: the exception carries the [fr]-backed
+             lookup out of this frame, so the frame must leak with it *)
           raise e)
   | exception e ->
-      code.pool <- regs :: code.pool;
+      code.pool <- fr :: code.pool;
       raise e

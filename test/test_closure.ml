@@ -1,6 +1,8 @@
 (* Closure execution tier tests: inline-cache behavior (monomorphic hit,
-   polymorphic rebias, deopt invalidation), register-file pooling, and
-   cost-model parity of virtual dispatch with the {!Ir_exec} reference.
+   polymorphic rebias, deopt invalidation), frame pooling, typed frames
+   (int/boolean parameters, OSR entry, boxing traps, no allocation on
+   int paths), and cost-model parity of virtual dispatch with the
+   {!Ir_exec} reference.
    Parity on generated programs is a graph-level property in
    test_properties.ml. *)
 
@@ -228,6 +230,148 @@ let test_dispatch_cost_matches_ir_exec () =
   Alcotest.(check bool) "closure tier used its inline cache" true (hits > 0);
   Alcotest.(check (list (pair string int))) "cost-model counters" ki kc
 
+(* ------------------------------------------------------------------ *)
+(* Typed frames                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A compiled callee with [int] and [boolean] parameters, called from
+   compiled code: the caller boxes the arguments where they leave its
+   frame and the callee unboxes them into its int file at entry. *)
+let test_typed_params () =
+  let src =
+    "class C {\n\
+    \  static int g(int x, boolean neg) { if (neg) { return 0 - x; } return x * 2; }\n\
+    \  static int f(int n) {\n\
+    \    int s = 0;\n\
+    \    int i = 0;\n\
+    \    while (i < n) { s = s + C.g(i, i % 3 == 0); i = i + 1; }\n\
+    \    return s;\n\
+    \  }\n\
+     }"
+  in
+  let config = { ic_config with Jit.opt = Jit.O_pea; osr = false } in
+  let program, vm = setup ~config src in
+  let f = Link.find_method program "C" "f" and g = Link.find_method program "C" "g" in
+  let expected n =
+    let s = ref 0 in
+    for i = 0 to n - 1 do
+      s := !s + if i mod 3 = 0 then -i else i * 2
+    done;
+    !s
+  in
+  Vm.warm_up vm f [ vint 10 ] 6;
+  Alcotest.(check bool) "caller compiled" true (Vm.compiled_graph vm f <> None);
+  Alcotest.(check bool) "callee compiled" true (Vm.compiled_graph vm g <> None);
+  let before = Stats.snapshot (Vm.stats vm) in
+  Alcotest.(check int) "result" (expected 40) (as_int (Vm.invoke vm f [ vint 40 ]));
+  let after = Stats.snapshot (Vm.stats vm) in
+  Alcotest.(check int) "caller and callee ran compiled" 0
+    (after.Stats.s_interpreted_instrs - before.Stats.s_interpreted_instrs)
+
+(* An OSR entry at a loop header where a local is not yet assigned: the
+   interpreter passes [Vnull] for it, so OSR parameters live in the ref
+   file whatever the local's declared type. *)
+let test_osr_unassigned_local () =
+  let src =
+    "class Main {\n\
+    \  static int main() {\n\
+    \    int s = 0;\n\
+    \    int i = 0;\n\
+    \    while (i < 600) { s = s + i; i = i + 1; }\n\
+    \    int r = s * 2;\n\
+    \    boolean odd = r % 2 == 1;\n\
+    \    if (odd) { return r; }\n\
+    \    return r + 1;\n\
+    \  }\n\
+     }"
+  in
+  let reference = Run.run_source src in
+  let config =
+    { Jit.default_config with Jit.compile_threshold = max_int; osr = true; osr_threshold = 50 }
+  in
+  let r = Vm.run (Vm.create ~config (Link.compile_source src)) in
+  Alcotest.(check bool) "osr entry happened" true (r.Vm.stats.Stats.s_osr_entries >= 1);
+  Alcotest.(check int) "same result as the interpreter"
+    (as_int reference.Run.return_value) (as_int r.Vm.return_value)
+
+(* A corrupted graph where a Bool node feeds [Arith]: the closure tier
+   boxes the boolean and traps with exactly {!Ir_exec}'s text. *)
+let test_bool_into_arith_trap () =
+  let src = "class C { static int f(int x, boolean b) { return x * 3 + 1; } }" in
+  let config = { Jit.default_config with Jit.compile_threshold = 5; osr = false } in
+  let program, vm = setup ~config src in
+  let f = Link.find_method program "C" "f" in
+  let args = [ vint 7; vbool true ] in
+  Vm.warm_up vm f args config.Jit.compile_threshold;
+  let mutated = ref 0 in
+  let g =
+    Test_support.serve_mutated vm config program f (fun g ->
+        let b = (List.nth g.Pea_ir.Graph.params 1).Pea_ir.Node.id in
+        Pea_ir.Graph.iter_blocks
+          (fun blk ->
+            Pea_support.Dyn_array.iter
+              (fun (n : Pea_ir.Node.t) ->
+                match n.Pea_ir.Node.op with
+                | Pea_ir.Node.Arith (k, a, _) when !mutated = 0 ->
+                    n.Pea_ir.Node.op <- Pea_ir.Node.Arith (k, a, b);
+                    incr mutated
+                | _ -> ())
+              blk.Pea_ir.Graph.instrs)
+          g)
+  in
+  Alcotest.(check int) "one Arith rewired" 1 !mutated;
+  let trap_of run = match run () with _ -> "no trap" | exception Interp.Trap msg -> msg in
+  let reference =
+    trap_of (fun () -> Ir_exec.run (Run.make_env program ~printed:(ref [])) g args)
+  in
+  Alcotest.(check string) "Ir_exec traps" "expected int, found true" reference;
+  Alcotest.(check string) "closure tier traps alike" reference
+    (trap_of (fun () -> Vm.invoke vm f args))
+
+(* No boxing on int paths: a warmed int-only loop (an inlined static
+   helper, a boolean toggle, arithmetic) allocates nothing per compiled
+   op. The counters are charged through cells the closure code resolved
+   at translation, so [Stats.reset] must zero them in place: what the
+   code charges after the reset is what [Stats.get] reports. *)
+let test_int_loop_allocates_nothing () =
+  let src =
+    "class C {\n\
+    \  static int step(int x, boolean t) { if (t) { return x + 3; } return x * 2 - 7; }\n\
+    \  static int loop(int n) {\n\
+    \    int acc = 1;\n\
+    \    boolean t = true;\n\
+    \    int i = 0;\n\
+    \    while (i < n) { acc = C.step(acc, t) % 100003; t = !t; i = i + 1; }\n\
+    \    return acc;\n\
+    \  }\n\
+     }"
+  in
+  let config = { Jit.default_config with Jit.compile_threshold = 2; osr = false } in
+  let program, vm = setup ~config src in
+  let loop = Link.find_method program "C" "loop" in
+  let args = [ vint 2000 ] in
+  Vm.warm_up vm loop args 3;
+  let stats = Vm.stats vm in
+  Alcotest.(check bool) "compiled" true (Stats.get stats Stats.closure_compiled_methods >= 1);
+  let ops0 = Stats.get stats Stats.compiled_ops and cycles0 = Stats.get stats Stats.cycles in
+  ignore (Vm.invoke vm loop args);
+  let ops_per_call = Stats.get stats Stats.compiled_ops - ops0 in
+  let cycles_per_call = Stats.get stats Stats.cycles - cycles0 in
+  Alcotest.(check bool) "the loop runs compiled" true (ops_per_call > 2000);
+  Stats.reset stats;
+  let iters = 20 in
+  let words0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Vm.invoke vm loop args)
+  done;
+  let words = Gc.minor_words () -. words0 in
+  let ops = Stats.get stats Stats.compiled_ops in
+  Alcotest.(check int) "compiled ops after reset" (iters * ops_per_call) ops;
+  Alcotest.(check int) "cycles after reset" (iters * cycles_per_call)
+    (Stats.get stats Stats.cycles);
+  let per_op = words /. float_of_int ops in
+  if per_op >= 0.01 then Alcotest.failf "%.4f minor words per compiled op (limit 0.01)" per_op
+
 let () =
   Alcotest.run "closure"
     [
@@ -241,6 +385,15 @@ let () =
         [
           Alcotest.test_case "pooling" `Quick test_register_file_pool;
           Alcotest.test_case "pool recovers after deopt" `Quick test_pool_recovers_after_deopt;
+        ] );
+      ( "typed-frames",
+        [
+          Alcotest.test_case "int and boolean params across compiled calls" `Quick
+            test_typed_params;
+          Alcotest.test_case "OSR entry with an unassigned local" `Quick test_osr_unassigned_local;
+          Alcotest.test_case "Bool into Arith traps like Ir_exec" `Quick test_bool_into_arith_trap;
+          Alcotest.test_case "int loop allocates nothing; cells survive reset" `Quick
+            test_int_loop_allocates_nothing;
         ] );
       ( "parity",
         [

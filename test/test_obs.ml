@@ -41,7 +41,10 @@ let test_metrics_basics () =
     (Metrics.to_json t);
   Alcotest.(check string) "pp_counters uses labels" "alpha=5 brv=9"
     (Format.asprintf "%a" Metrics.pp_counters t);
+  let cells = Metrics.cells t in
+  Alcotest.(check int) "cells are the live storage" 5 cells.(Metrics.slot a);
   Metrics.reset t;
+  Alcotest.(check bool) "reset zeroes the cells in place" true (cells == Metrics.cells t);
   Alcotest.(check int) "reset counter" 0 (Metrics.get t a);
   Alcotest.(check int) "reset histogram" 0 (Metrics.hist t h).Metrics.h_count
 

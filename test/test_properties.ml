@@ -246,7 +246,8 @@ let gen_program : string G.t =
    iteration 24: a real deoptimization with the object virtual in the
    frame state under PEA. Iteration 25 runs the recompiled code. The
    checksum reads the object's fields after the branch, so rematerialized
-   values flow into the result. *)
+   values flow into the result. The boolean [late] is live across the
+   deopt, so its frame state carries a boolean as well as ints. *)
 let gen_program_deopt : string G.t =
   let env =
     { ivars = [ "i0"; "i1"; "i2" ]; pvars = [ "p0"; "p1" ]; qvars = [ "q0"; "q1" ]; depth = 3 }
@@ -269,12 +270,14 @@ let gen_program_deopt : string G.t =
        \    A q0 = new B(); A q1 = new C();\n\
        \    int[] arr = new int[3];\n\
         %s\n\
+       \    boolean late = Main.iterc > 20;\n\
        \    P d0 = new P();\n\
        \    d0.a = i0 + i1 + Main.iterc;\n\
        \    d0.b = Main.g2 + 7;\n\
        \    if (Main.iterc > 23) { Main.g1 = d0; print(d0.a); }\n\
        \    int g1v = 0;\n\
-       \    if (Main.g1 != null) g1v = Main.g1.a + Main.g1.b;\n\
+       \    if (late) g1v = 1;\n\
+       \    if (Main.g1 != null) g1v = g1v + Main.g1.a + Main.g1.b;\n\
        \    int garrv = 0;\n\
        \    if (Main.garr != null) garrv = Main.garr[0] + Main.garr[1] * 13;\n\
        \    return i0 + i1 * 3 + i2 * 5 + p0.a + p0.b * 7 + p1.a * 11 + p1.b + Main.g2 + g1v + \
@@ -331,6 +334,18 @@ let prop_closure_matches_ir_exec =
     let fs = d.Pea_ir.Graph.d_state in
     (fs.Pea_ir.Frame_state.fs_method.Pea_bytecode.Classfile.mth_id, fs.Pea_ir.Frame_state.fs_bci)
   in
+  (* every compiled value the deopt hands to the interpreter — each
+     frame's locals, stack and locks plus the virtual objects' fields —
+     so the closure tier's boxing at deopt is pinned to Ir_exec's *)
+  let deopt_values (d : Pea_ir.Graph.deopt) lookup =
+    let acc = ref [] in
+    Pea_ir.Frame_state.iter_values
+      (function
+        | Pea_ir.Frame_state.F_node id -> acc := (id, Value.string_of_value (lookup id)) :: !acc
+        | Pea_ir.Frame_state.F_virtual _ | Pea_ir.Frame_state.F_const _ -> ())
+      d.Pea_ir.Graph.d_state;
+    List.rev !acc
+  in
   (* run [g] up to [iters] times on a fresh env through [exec], stopping
      at the first invocation that does not return *)
   let observe program g exec =
@@ -344,7 +359,7 @@ let prop_closure_matches_ir_exec =
         (fun () ->
           match run [] with
           | r -> `Return (string_of_result r)
-          | exception Ir_exec.Deoptimize (d, _) -> `Deopt (site d)
+          | exception Ir_exec.Deoptimize (d, lookup) -> `Deopt (site d, deopt_values d lookup)
           | exception Interp.Trap msg -> `Trap msg
           | exception Interp.Mj_throw v -> `Throw (Value.string_of_value v))
     in
