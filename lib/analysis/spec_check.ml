@@ -125,6 +125,27 @@ let is_invoke_bc = function
   | Classfile.Invokevirtual _ | Classfile.Invokestatic _ | Classfile.Invokespecial _ -> true
   | _ -> false
 
+(* Does any frame of the chain declare a virtual object? *)
+let rec has_virtuals (fs : Frame_state.t) =
+  fs.Frame_state.fs_virtuals <> []
+  || match fs.Frame_state.fs_outer with Some o -> has_virtuals o | None -> false
+
+(* Does every frame of the chain pass SPEC09 and SPEC10? *)
+let rec resumable ~innermost (f : Frame_state.t) =
+  let code = f.Frame_state.fs_method.Classfile.mth_code in
+  let bci = f.Frame_state.fs_bci in
+  bci >= 0
+  && bci < Array.length code
+  && (innermost || (bci >= 1 && is_invoke_bc code.(bci - 1)))
+  && match f.Frame_state.fs_outer with Some o -> resumable ~innermost:false o | None -> true
+
+(* Site loci are thunks, rendered only for a violation. *)
+let node_site id () = Printf.sprintf "v%d" id
+
+let block_site bid what () = Printf.sprintf "B%d/%s" bid what
+
+let params_site () = "params"
+
 let check ?summaries ?(phase = "") (g : Graph.t) : violation list =
   let meth = Classfile.qualified_name g.Graph.g_method in
   let violations = ref [] in
@@ -132,39 +153,50 @@ let check ?summaries ?(phase = "") (g : Graph.t) : violation list =
     Format.kasprintf
       (fun detail ->
         violations :=
-          { v_rule = rule; v_method = meth; v_phase = phase; v_site = site; v_detail = detail }
+          { v_rule = rule; v_method = meth; v_phase = phase; v_site = site (); v_detail = detail }
           :: !violations)
       fmt
   in
   let reachable = Graph.reachable g in
   let doms = Dominators.compute g in
-  (* definition positions, as in the IR checker: params everywhere, phis
-     at the top of their block, instruction [i] at index [i] *)
-  let pos : (Node.node_id, int * int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (p : Node.t) -> Hashtbl.replace pos p.Node.id (-1, 0)) g.Graph.params;
-  Graph.iter_blocks
-    (fun b ->
-      if reachable.(b.Graph.b_id) then begin
-        List.iter
-          (fun (n : Node.t) -> Hashtbl.replace pos n.Node.id (b.Graph.b_id, -1))
-          b.Graph.phis;
-        Pea_support.Dyn_array.iteri
-          (fun i (n : Node.t) -> Hashtbl.replace pos n.Node.id (b.Graph.b_id, i))
-          b.Graph.instrs
-      end)
-    g;
-  let dominated def ~ub ~ui =
-    match Hashtbl.find_opt pos def with
-    | None -> false
-    | Some (db, _) when db = -1 -> true
-    | Some (db, di) -> if db = ub then di < ui else Dominators.dominates doms db ub
+  (* definition positions, as in the IR checker *)
+  let sites = Check.def_sites g ~reachable in
+  let is_defined = Check.is_defined sites in
+  let dominated def ~ub ~ui = is_defined def && Check.defined_before sites doms def ~ub ~ui in
+  (* the descriptor table of a chain that declares nothing; never written *)
+  let no_virtuals : (Frame_state.virt_id, Frame_state.virtual_desc) Hashtbl.t =
+    Hashtbl.create 1
+  in
+  (* A state passes every per-state rule when its chain declares no
+     virtual object, each of its values is a constant or a defined node
+     that dominates the state's program point, and each frame resumes at
+     a valid point. That test allocates nothing; only the other states go
+     through the reporting rules below. [state_ub] is -1 for a state
+     without a dominance requirement. *)
+  let state_ub = ref (-1) and state_ui = ref 0 in
+  let unclean_value = function
+    | Frame_state.F_virtual _ -> true (* no descriptor in the chain *)
+    | Frame_state.F_node n ->
+        (not (is_defined n))
+        || (!state_ub >= 0 && not (dominated n ~ub:!state_ub ~ui:!state_ui))
+    | Frame_state.F_const _ -> false
+  in
+  let clean_state ?dom fs =
+    (match dom with
+    | Some (ub, ui) ->
+        state_ub := ub;
+        state_ui := ui
+    | None -> state_ub := -1);
+    (not (has_virtuals fs))
+    && (not (Frame_state.exists_value unclean_value fs))
+    && resumable ~innermost:true fs
   in
 
   (* ---- per-state rules: SPEC01/02/03/05/09/10 --------------------- *)
   (* [ub]/[ui] locate the state's program point for dominance; [ui] may
      be [max_int] for terminators. Entry states skip dominance ([ub] =
      None): they may legitimately reference the block's own phis. *)
-  let check_state ~site ?dom (fs : Frame_state.t) =
+  let report_state ~site ?dom (fs : Frame_state.t) =
     let frames = chain fs in
     let virtuals = chain_virtuals frames in
     (* SPEC03: conflicting re-declarations *)
@@ -194,7 +226,7 @@ let check ?summaries ?(phase = "") (g : Graph.t) : violation list =
             if not (Hashtbl.mem virtuals vid) then
               report ~rule:"SPEC01" ~site "state references virtual #%d without a descriptor" vid
         | Frame_state.F_node n -> (
-            if not (Hashtbl.mem pos n) then
+            if not (is_defined n) then
               report ~rule:"SPEC02" ~site "state references v%d, not defined in any reachable block"
                 n
             else
@@ -247,27 +279,28 @@ let check ?summaries ?(phase = "") (g : Graph.t) : violation list =
     in
     walk ~innermost:true fs
   in
+  let check_state ~site ?dom fs = if not (clean_state ?dom fs) then report_state ~site ?dom fs in
 
   Graph.iter_blocks
     (fun b ->
       if reachable.(b.Graph.b_id) then begin
         let bid = b.Graph.b_id in
-        Option.iter (check_state ~site:(Printf.sprintf "B%d/entry" bid)) b.Graph.entry_fs;
+        Option.iter (check_state ~site:(block_site bid "entry")) b.Graph.entry_fs;
         Pea_support.Dyn_array.iteri
           (fun i (n : Node.t) ->
             (* SPEC04 *)
             (match n.Node.op with
             | Node.Invoke _ when n.Node.fs = None ->
-                report ~rule:"SPEC04" ~site:(Printf.sprintf "v%d" n.Node.id)
+                report ~rule:"SPEC04" ~site:(node_site n.Node.id)
                   "invoke has no frame state: a deopt inside the callee cannot rebuild the caller"
             | _ -> ());
             Option.iter
-              (check_state ~site:(Printf.sprintf "v%d" n.Node.id) ~dom:(bid, i + 1))
+              (check_state ~site:(node_site n.Node.id) ~dom:(bid, i + 1))
               n.Node.fs)
           b.Graph.instrs;
         match b.Graph.term with
         | Graph.Deopt d ->
-            let site = Printf.sprintf "B%d/deopt" bid in
+            let site = block_site bid "deopt" in
             check_state ~site ~dom:(bid, max_int) d.Graph.d_state;
             (* SPEC08: branch provenance must name a conditional branch *)
             Option.iter
@@ -332,15 +365,15 @@ let check ?summaries ?(phase = "") (g : Graph.t) : violation list =
           match p.Node.op with
           | Node.Param i ->
               if Hashtbl.mem seen i then
-                report ~rule:"SPEC07" ~site:"params" "local slot %d is transferred twice" i
+                report ~rule:"SPEC07" ~site:params_site "local slot %d is transferred twice" i
               else Hashtbl.replace seen i ()
           | _ ->
-              report ~rule:"SPEC07" ~site:"params" "non-param node v%d in the parameter list"
+              report ~rule:"SPEC07" ~site:params_site "non-param node v%d in the parameter list"
                 p.Node.id)
         g.Graph.params;
       for slot = 0 to max_locals - 1 do
         if not (Hashtbl.mem seen slot) then
-          report ~rule:"SPEC07" ~site:"params"
+          report ~rule:"SPEC07" ~site:params_site
             "OSR entry at bci %d transfers no value for live local slot %d" entry_bci slot
       done);
 
@@ -351,16 +384,21 @@ let check ?summaries ?(phase = "") (g : Graph.t) : violation list =
      reappears means a state downstream of the materialization still
      claims the object is virtual: rematerialization would duplicate it. *)
   let status : (Frame_state.virt_id, [ `Active | `Retired ]) Hashtbl.t = Hashtbl.create 8 in
-  let visit_state ~site fs undo =
-    let declared = chain_virtuals (chain fs) in
-    (* ids that vanish at this state *)
-    Hashtbl.iter
-      (fun vid st ->
-        if st = `Active && not (Hashtbl.mem declared vid) then begin
-          Hashtbl.replace status vid `Retired;
-          undo := (vid, `Active) :: !undo
-        end)
-      (Hashtbl.copy status);
+  let track_state ~site fs undo =
+    let declared = if has_virtuals fs then chain_virtuals (chain fs) else no_virtuals in
+    (* ids that vanish at this state: collected first, then retired, so
+       the table is not modified while it is iterated *)
+    let vanished =
+      Hashtbl.fold
+        (fun vid st acc ->
+          if st = `Active && not (Hashtbl.mem declared vid) then vid :: acc else acc)
+        status []
+    in
+    List.iter
+      (fun vid ->
+        Hashtbl.replace status vid `Retired;
+        undo := (vid, `Active) :: !undo)
+      (List.rev vanished);
     Hashtbl.iter
       (fun vid _ ->
         match Hashtbl.find_opt status vid with
@@ -372,6 +410,11 @@ let check ?summaries ?(phase = "") (g : Graph.t) : violation list =
             Hashtbl.replace status vid `Active;
             undo := (vid, `Absent) :: !undo)
       declared
+  in
+  (* with nothing tracked and nothing declared, a state changes no status
+     and reports nothing *)
+  let visit_state ~site fs undo =
+    if Hashtbl.length status > 0 || has_virtuals fs then track_state ~site fs undo
   in
   (* Deoptimization never resumes *at* an allocation: states on
      allocation nodes exist only to attribute the allocation to its
@@ -391,15 +434,15 @@ let check ?summaries ?(phase = "") (g : Graph.t) : violation list =
     let undo = ref [] in
     let b = Graph.block g bid in
     Option.iter
-      (fun fs -> visit_state ~site:(Printf.sprintf "B%d/entry" bid) fs undo)
+      (fun fs -> visit_state ~site:(block_site bid "entry") fs undo)
       b.Graph.entry_fs;
     Pea_support.Dyn_array.iter
       (fun (n : Node.t) ->
         if not (attribution_only n) then
-          Option.iter (fun fs -> visit_state ~site:(Printf.sprintf "v%d" n.Node.id) fs undo) n.Node.fs)
+          Option.iter (fun fs -> visit_state ~site:(node_site n.Node.id) fs undo) n.Node.fs)
       b.Graph.instrs;
     (match b.Graph.term with
-    | Graph.Deopt d -> visit_state ~site:(Printf.sprintf "B%d/deopt" bid) d.Graph.d_state undo
+    | Graph.Deopt d -> visit_state ~site:(block_site bid "deopt") d.Graph.d_state undo
     | _ -> ());
     List.iter dfs tree.(bid);
     List.iter
@@ -473,7 +516,7 @@ let check ?summaries ?(phase = "") (g : Graph.t) : violation list =
       if reachable.(b.Graph.b_id) then begin
         Pea_support.Dyn_array.iter
           (fun (n : Node.t) ->
-            let site = Printf.sprintf "v%d" n.Node.id in
+            let site = node_site n.Node.id in
             match n.Node.op with
             | Node.Store_static (_, v) when is_stack v ->
                 report ~rule:"SPEC12" ~site
@@ -520,7 +563,7 @@ let check ?summaries ?(phase = "") (g : Graph.t) : violation list =
         match b.Graph.term with
         | Graph.Return (Some v) when is_stack v ->
             report ~rule:"SPEC12"
-              ~site:(Printf.sprintf "B%d/return" b.Graph.b_id)
+              ~site:(block_site b.Graph.b_id "return")
               "stack allocation v%d is returned and outlives its frame" v
         | _ -> ()
       end)

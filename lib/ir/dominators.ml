@@ -1,6 +1,7 @@
 (* Dominator computation using the Cooper–Harvey–Kennedy iterative
-   algorithm. Used by dominator-based value numbering and by the IR
-   verifier in tests. *)
+   algorithm. Used by dominator-based value numbering, conditional
+   elimination, block-kind recomputation, and by the IR checker and the
+   speculation-safety verifier, which the JIT runs on every compile. *)
 
 type t = {
   idom : int array; (* immediate dominator per block id; entry maps to itself; -1 unreachable *)
@@ -27,24 +28,22 @@ let compute (g : Graph.t) : t =
     done;
     !a
   in
+  (* fold [intersect] over the reachable, already processed preds; -1
+     while there is none *)
+  let meet acc p =
+    if rpo_index.(p) < 0 || idom.(p) < 0 then acc else if acc < 0 then p else intersect acc p
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     Array.iter
       (fun b ->
         if b <> Graph.entry_id then begin
-          let preds =
-            List.filter (fun p -> rpo_index.(p) >= 0) (Graph.block g b).Graph.preds
-          in
-          let processed = List.filter (fun p -> idom.(p) >= 0) preds in
-          match processed with
-          | [] -> ()
-          | first :: rest ->
-              let new_idom = List.fold_left (fun acc p -> intersect acc p) first rest in
-              if idom.(b) <> new_idom then begin
-                idom.(b) <- new_idom;
-                changed := true
-              end
+          let new_idom = List.fold_left meet (-1) (Graph.block g b).Graph.preds in
+          if new_idom >= 0 && idom.(b) <> new_idom then begin
+            idom.(b) <- new_idom;
+            changed := true
+          end
         end)
       rpo_arr
   done;

@@ -1,7 +1,9 @@
 (** Dominator computation (Cooper–Harvey–Kennedy iterative algorithm).
 
-    Used by dominator-based value numbering, loop detection, and the CFG
-    cleanup that re-derives block kinds. *)
+    Used by dominator-based value numbering, conditional elimination,
+    loop detection, the CFG cleanup that re-derives block kinds, and by
+    the IR checker and the speculation-safety verifier, which the JIT
+    runs on every compile. *)
 
 type t
 

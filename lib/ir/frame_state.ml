@@ -56,18 +56,71 @@ and shape =
   | Obj_shape of Classfile.rt_class
   | Arr_shape of Pea_mjava.Ast.ty (* element type; length = #fields *)
 
+(* [map_array f a] is [Array.map f a], except that it returns [a] itself
+   when [f] returns every element physically unchanged. *)
+let rec map_array_from f a i =
+  if i = Array.length a then a
+  else
+    let x = a.(i) in
+    let y = f x in
+    if y == x then map_array_from f a (i + 1)
+    else begin
+      let b = Array.copy a in
+      b.(i) <- y;
+      for j = i + 1 to Array.length a - 1 do
+        b.(j) <- f a.(j)
+      done;
+      b
+    end
+
+let map_array f a = map_array_from f a 0
+
+(* [map_list f l] is [List.map f l] with the same sharing guarantee. *)
+let rec map_list f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let y = f x in
+      let rest' = map_list f rest in
+      if y == x && rest' == rest then l else y :: rest'
+
+(* Unchanged parts are shared with [fs], so two states may alias one
+   array; this is sound because no code writes [fs_locals] or [vd_fields]
+   in place (states are rebuilt, never patched). *)
 let rec map_values f (fs : t) =
-  {
-    fs with
-    fs_locals = Array.map f fs.fs_locals;
-    fs_stack = List.map f fs.fs_stack;
-    fs_locks = List.map f fs.fs_locks;
-    fs_outer = Option.map (map_values f) fs.fs_outer;
-    fs_virtuals =
-      List.map
-        (fun (id, vd) -> (id, { vd with vd_fields = Array.map f vd.vd_fields }))
-        fs.fs_virtuals;
-  }
+  let locals = map_array f fs.fs_locals in
+  let stack = map_list f fs.fs_stack in
+  let locks = map_list f fs.fs_locks in
+  let outer =
+    match fs.fs_outer with
+    | None -> None
+    | Some o ->
+        let o' = map_values f o in
+        if o' == o then fs.fs_outer else Some o'
+  in
+  let virtuals =
+    match fs.fs_virtuals with
+    | [] -> fs.fs_virtuals
+    | vs ->
+        map_list
+          (fun ((id, vd) as entry) ->
+            let fields = map_array f vd.vd_fields in
+            if fields == vd.vd_fields then entry else (id, { vd with vd_fields = fields }))
+          vs
+  in
+  if
+    locals == fs.fs_locals && stack == fs.fs_stack && locks == fs.fs_locks
+    && outer == fs.fs_outer && virtuals == fs.fs_virtuals
+  then fs
+  else
+    {
+      fs with
+      fs_locals = locals;
+      fs_stack = stack;
+      fs_locks = locks;
+      fs_outer = outer;
+      fs_virtuals = virtuals;
+    }
 
 let rec iter_values f (fs : t) =
   Array.iter f fs.fs_locals;
@@ -75,6 +128,23 @@ let rec iter_values f (fs : t) =
   List.iter f fs.fs_locks;
   List.iter (fun (_, vd) -> Array.iter f vd.vd_fields) fs.fs_virtuals;
   Option.iter (iter_values f) fs.fs_outer
+
+(* [exists_value p fs]: [iter_values] order, stopping at the first hit,
+   without allocating. *)
+let rec exists_in_list p = function [] -> false | v :: rest -> p v || exists_in_list p rest
+
+let rec exists_in_array p a i = i < Array.length a && (p a.(i) || exists_in_array p a (i + 1))
+
+let rec exists_in_virtuals p = function
+  | [] -> false
+  | (_, vd) :: rest -> exists_in_array p vd.vd_fields 0 || exists_in_virtuals p rest
+
+let rec exists_value p (fs : t) =
+  exists_in_array p fs.fs_locals 0
+  || exists_in_list p fs.fs_stack
+  || exists_in_list p fs.fs_locks
+  || exists_in_virtuals p fs.fs_virtuals
+  || match fs.fs_outer with Some o -> exists_value p o | None -> false
 
 (* All node ids mentioned anywhere in the state. *)
 let node_ids fs =

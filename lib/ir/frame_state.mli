@@ -52,10 +52,22 @@ and shape =
   | Arr_shape of Pea_mjava.Ast.ty
 
 (** [map_values f fs] rewrites every value in the state, including outer
-    frames and descriptor fields. *)
+    frames and descriptor fields. Only what changes is rebuilt: when [f]
+    returns every value physically unchanged ([==]) the result is [fs]
+    itself, and otherwise each unchanged array, list, descriptor and
+    outer frame is shared with [fs].
+
+    Sharing is sound because states are values: nothing writes
+    [fs_locals] or [vd_fields] in place. A pass that rewrites a state
+    builds a new one (with [map_values] or a record copy) and never
+    patches an array that another state may hold. *)
 val map_values : (fs_value -> fs_value) -> t -> t
 
 val iter_values : (fs_value -> unit) -> t -> unit
+
+(** [exists_value p fs] — does some value of the state (in {!iter_values}
+    order) satisfy [p]? Nothing is allocated. *)
+val exists_value : (fs_value -> bool) -> t -> bool
 
 (** [node_ids fs] — every node id mentioned anywhere in the state. *)
 val node_ids : t -> node_id list

@@ -222,14 +222,16 @@ let rec simplify_trivial_phis g =
       List.iter
         (fun (phi : Node.t) ->
           match phi.Node.op with
-          | Node.Phi p -> (
-              let others =
-                Array.to_list p.Node.inputs |> List.filter (fun x -> x <> phi.Node.id)
-              in
-              match others with
-              | v :: rest when List.for_all (fun x -> x = v) rest ->
-                  Hashtbl.replace subst phi.Node.id v
-              | _ -> ())
+          | Node.Phi p ->
+              (* the one input other than the phi itself, if there is one *)
+              let self = phi.Node.id in
+              let v = ref self and trivial = ref true in
+              Array.iter
+                (fun x ->
+                  if x <> self then
+                    if !v = self then v := x else if x <> !v then trivial := false)
+                p.Node.inputs;
+              if !trivial && !v <> self then Hashtbl.replace subst self !v
           | _ -> ())
         b.phis)
     g;
@@ -245,26 +247,47 @@ let rec simplify_trivial_phis g =
   end
 
 (* Rewrite every operand reference (including phi inputs, terminators and
-   frame states) through [f]. *)
+   frame states) through [f]. Only what changes is rebuilt: a node whose
+   operands all map to themselves keeps its [op], and frame states share
+   every unchanged part (see {!Frame_state.map_values}). *)
 and substitute_uses g (f : Node.node_id -> Node.node_id) =
-  let subst_fs fs =
-    Frame_state.map_values
-      (function Frame_state.F_node n -> Frame_state.F_node (f n) | fv -> fv)
-      fs
+  let subst_value = function
+    | Frame_state.F_node n as v ->
+        let n' = f n in
+        if n' = n then v else Frame_state.F_node n'
+    | (Frame_state.F_virtual _ | Frame_state.F_const _) as v -> v
   in
+  let subst_fs fs = Frame_state.map_values subst_value fs in
+  let moves = ref false in
+  let probe id = if f id <> id then moves := true in
   let fix_node (n : Node.t) =
-    n.op <- Node.map_operands f n.op;
-    n.fs <- Option.map subst_fs n.fs
+    moves := false;
+    Node.iter_operands probe n.op;
+    if !moves then n.op <- Node.map_operands f n.op;
+    match n.fs with
+    | None -> ()
+    | Some fs ->
+        let fs' = subst_fs fs in
+        if fs' != fs then n.fs <- Some fs'
   in
   iter_blocks
     (fun b ->
       List.iter fix_node b.phis;
       Pea_support.Dyn_array.iter fix_node b.instrs;
-      b.term <-
-        (match b.term with
-        | Goto _ | Return None | Trap _ | Unreachable -> b.term
-        | If r -> If { r with cond = f r.cond }
-        | Return (Some v) -> Return (Some (f v))
-        | Deopt d -> Deopt { d with d_state = subst_fs d.d_state });
-      b.entry_fs <- Option.map subst_fs b.entry_fs)
+      (match b.term with
+      | Goto _ | Return None | Trap _ | Unreachable -> ()
+      | If r ->
+          let c = f r.cond in
+          if c <> r.cond then b.term <- If { r with cond = c }
+      | Return (Some v) ->
+          let v' = f v in
+          if v' <> v then b.term <- Return (Some v')
+      | Deopt d ->
+          let st = subst_fs d.d_state in
+          if st != d.d_state then b.term <- Deopt { d with d_state = st });
+      match b.entry_fs with
+      | None -> ()
+      | Some fs ->
+          let fs' = subst_fs fs in
+          if fs' != fs then b.entry_fs <- Some fs')
     g

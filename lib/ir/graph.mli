@@ -156,5 +156,11 @@ val reachable : t -> bool array
 val simplify_trivial_phis : t -> unit
 
 (** [substitute_uses g f] rewrites every operand reference — phi inputs,
-    terminators and frame states included — through [f]. *)
+    terminators and frame states included — through [f]. Only what
+    changes is rebuilt: a node whose operands [f] all maps to themselves
+    keeps its [op] ([==]), and terminators and states keep every part
+    that mentions no moved id (see {!Frame_state.map_values}), so after
+    the rewrite nodes and blocks may share state arrays. That relies on
+    the invariant that no code writes a state's [fs_locals] or
+    [vd_fields] in place. *)
 val substitute_uses : t -> (Node.node_id -> Node.node_id) -> unit

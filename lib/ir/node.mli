@@ -111,6 +111,10 @@ val produces_value : op -> bool
 
 val iter_operands : (node_id -> unit) -> op -> unit
 
+(** [exists_operand p op] — does some operand satisfy [p]? Operands are
+    tried in {!iter_operands} order; nothing is allocated. *)
+val exists_operand : (node_id -> bool) -> op -> bool
+
 val map_operands : (node_id -> node_id) -> op -> op
 
 (** {1 Printing} *)

@@ -120,20 +120,14 @@ let run (g : Graph.t) =
          once all uses are redirected. *)
       Graph.iter_blocks
         (fun b ->
-          let kept =
-            List.filter
-              (fun (n : Node.t) ->
-                if Hashtbl.mem aliases n.Node.id then begin
-                  Graph.delete_node g n.Node.id;
-                  false
-                end
-                else true)
-              (Graph.instr_list b)
-          in
-          if List.length kept <> Pea_support.Dyn_array.length b.Graph.instrs then begin
-            Pea_support.Dyn_array.clear b.Graph.instrs;
-            List.iter (fun n -> ignore (Pea_support.Dyn_array.push b.Graph.instrs n)) kept
-          end)
+          Pea_support.Dyn_array.filter_in_place
+            (fun (n : Node.t) ->
+              if Hashtbl.mem aliases n.Node.id then begin
+                Graph.delete_node g n.Node.id;
+                false
+              end
+              else true)
+            b.Graph.instrs)
         g
     end;
     (* 2. fold If with constant conditions *)

@@ -81,9 +81,17 @@ let prune_unreachable_edges (g : Graph.t) =
    deleted. *)
 let eliminate_dead_code (g : Graph.t) =
   let reachable = Graph.reachable g in
-  let used = Hashtbl.create 64 in
-  let mark id = Hashtbl.replace used id () in
-  let mark_fs fs = List.iter mark (Frame_state.node_ids fs) in
+  let n_nodes = Graph.n_nodes g in
+  (* ids outside the node table (only in corrupted graphs) name nothing
+     that could be swept, so they need no mark *)
+  let used = Array.make n_nodes false in
+  let in_table id = id >= 0 && id < n_nodes in
+  let mark id = if in_table id then used.(id) <- true in
+  let mark_value = function
+    | Frame_state.F_node n -> mark n
+    | Frame_state.F_virtual _ | Frame_state.F_const _ -> ()
+  in
+  let mark_fs fs = Frame_state.iter_values mark_value fs in
   (* roots: non-pure instructions, terminators, frame states *)
   Graph.iter_blocks
     (fun b ->
@@ -106,21 +114,18 @@ let eliminate_dead_code (g : Graph.t) =
     g;
   (* transitively mark operands of used pure nodes *)
   let changed = ref true in
+  let mark_new o =
+    if in_table o && not used.(o) then begin
+      mark o;
+      changed := true
+    end
+  in
+  let visit (n : Node.t) = if used.(n.Node.id) then Node.iter_operands mark_new n.Node.op in
   while !changed do
     changed := false;
     Graph.iter_blocks
       (fun b ->
         if reachable.(b.Graph.b_id) then begin
-          let visit (n : Node.t) =
-            if Hashtbl.mem used n.Node.id then
-              Node.iter_operands
-                (fun o ->
-                  if not (Hashtbl.mem used o) then begin
-                    mark o;
-                    changed := true
-                  end)
-                n.Node.op
-          in
           List.iter visit b.Graph.phis;
           Pea_support.Dyn_array.iter visit b.Graph.instrs
         end)
@@ -128,18 +133,16 @@ let eliminate_dead_code (g : Graph.t) =
   done;
   List.iter (fun (p : Node.t) -> mark p.Node.id) g.Graph.params;
   (* sweep *)
+  let keep (n : Node.t) =
+    let k = (not (Node.is_pure n.Node.op)) || used.(n.Node.id) in
+    if not k then Graph.delete_node g n.Node.id;
+    k
+  in
   Graph.iter_blocks
     (fun b ->
       if reachable.(b.Graph.b_id) then begin
-        let keep (n : Node.t) =
-          let k = (not (Node.is_pure n.Node.op)) || Hashtbl.mem used n.Node.id in
-          if not k then Graph.delete_node g n.Node.id;
-          k
-        in
         b.Graph.phis <- List.filter keep b.Graph.phis;
-        let kept = List.filter keep (Graph.instr_list b) in
-        Pea_support.Dyn_array.clear b.Graph.instrs;
-        List.iter (fun n -> ignore (Pea_support.Dyn_array.push b.Graph.instrs n)) kept
+        Pea_support.Dyn_array.filter_in_place keep b.Graph.instrs
       end)
     g
 

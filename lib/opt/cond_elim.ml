@@ -54,41 +54,35 @@ let run (g : Graph.t) =
     let b = Graph.block g bid in
     (* fold dominated type and null checks against the recorded predicates *)
     if Hashtbl.length class_facts > 0 then begin
-      let kept =
-        List.filter
-          (fun (n : Node.t) ->
-            match n.Node.op with
-            | Node.Has_class (x, cls) -> (
-                match Hashtbl.find_opt class_facts x with
-                | Some known ->
-                    n.Node.op <-
-                      Node.Const (Node.Cbool (known.Classfile.cls_id = cls.Classfile.cls_id));
-                    changed := true;
-                    true
-                | None -> true)
-            | Node.Instance_of (x, cls) -> (
-                match Hashtbl.find_opt class_facts x with
-                | Some known ->
-                    n.Node.op <-
-                      Node.Const (Node.Cbool (Classfile.is_subclass ~cls:known ~anc:cls));
-                    changed := true;
-                    true
-                | None -> true)
-            | Node.Null_check x ->
-                (* an exact-class fact proves the value is a real object *)
-                if Hashtbl.mem class_facts x then begin
-                  Graph.delete_node g n.Node.id;
+      Pea_support.Dyn_array.filter_in_place
+        (fun (n : Node.t) ->
+          match n.Node.op with
+          | Node.Has_class (x, cls) -> (
+              match Hashtbl.find_opt class_facts x with
+              | Some known ->
+                  n.Node.op <-
+                    Node.Const (Node.Cbool (known.Classfile.cls_id = cls.Classfile.cls_id));
                   changed := true;
-                  false
-                end
-                else true
-            | _ -> true)
-          (Graph.instr_list b)
-      in
-      if List.length kept <> Pea_support.Dyn_array.length b.Graph.instrs then begin
-        Pea_support.Dyn_array.clear b.Graph.instrs;
-        List.iter (fun n -> ignore (Pea_support.Dyn_array.push b.Graph.instrs n)) kept
-      end
+                  true
+              | None -> true)
+          | Node.Instance_of (x, cls) -> (
+              match Hashtbl.find_opt class_facts x with
+              | Some known ->
+                  n.Node.op <-
+                    Node.Const (Node.Cbool (Classfile.is_subclass ~cls:known ~anc:cls));
+                  changed := true;
+                  true
+              | None -> true)
+          | Node.Null_check x ->
+              (* an exact-class fact proves the value is a real object *)
+              if Hashtbl.mem class_facts x then begin
+                Graph.delete_node g n.Node.id;
+                changed := true;
+                false
+              end
+              else true
+          | _ -> true)
+        b.Graph.instrs
     end;
     (match b.Graph.term with
     | Graph.If { cond; tru; fls; _ } when tru <> fls -> (

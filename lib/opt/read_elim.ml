@@ -26,103 +26,97 @@ let run ?summaries (g : Graph.t) =
     (fun b ->
       if reachable.(b.Graph.b_id) then begin
         let t = { fields = []; statics = []; arrays = [] } in
-        let kept =
-          List.filter
-            (fun (n : Node.t) ->
-              match n.Node.op with
-              | Node.Load_field (o, f) -> (
-                  let key = (resolve o, f.Classfile.fld_offset) in
-                  match List.assoc_opt key t.fields with
-                  | Some v ->
-                      Hashtbl.replace subst n.Node.id v;
-                      changed := true;
-                      Graph.delete_node g n.Node.id;
-                      false
-                  | None ->
-                      t.fields <- (key, n.Node.id) :: t.fields;
-                      true)
-              | Node.Store_field (o, f, v) ->
-                  let key = (resolve o, f.Classfile.fld_offset) in
-                  let v = resolve v in
-                  if List.assoc_opt key t.fields = Some v then begin
-                    (* the slot already holds this value: redundant store *)
+        Pea_support.Dyn_array.filter_in_place
+          (fun (n : Node.t) ->
+            match n.Node.op with
+            | Node.Load_field (o, f) -> (
+                let key = (resolve o, f.Classfile.fld_offset) in
+                match List.assoc_opt key t.fields with
+                | Some v ->
+                    Hashtbl.replace subst n.Node.id v;
                     changed := true;
                     Graph.delete_node g n.Node.id;
                     false
-                  end
-                  else begin
-                    (* a store to offset [k] may alias the same field of any
-                       other object: kill all remembered values at that
-                       offset, then remember the new one *)
-                    t.fields <-
-                      (key, v)
-                      :: List.filter (fun ((_, off), _) -> off <> f.Classfile.fld_offset) t.fields;
-                    true
-                  end
-              | Node.Load_static sf -> (
-                  match List.assoc_opt sf.Classfile.sf_index t.statics with
-                  | Some v ->
-                      Hashtbl.replace subst n.Node.id v;
-                      changed := true;
-                      Graph.delete_node g n.Node.id;
-                      false
-                  | None ->
-                      t.statics <- (sf.Classfile.sf_index, n.Node.id) :: t.statics;
-                      true)
-              | Node.Store_static (sf, v) ->
-                  let v = resolve v in
-                  if List.assoc_opt sf.Classfile.sf_index t.statics = Some v then begin
+                | None ->
+                    t.fields <- (key, n.Node.id) :: t.fields;
+                    true)
+            | Node.Store_field (o, f, v) ->
+                let key = (resolve o, f.Classfile.fld_offset) in
+                let v = resolve v in
+                if List.assoc_opt key t.fields = Some v then begin
+                  (* the slot already holds this value: redundant store *)
+                  changed := true;
+                  Graph.delete_node g n.Node.id;
+                  false
+                end
+                else begin
+                  (* a store to offset [k] may alias the same field of any
+                     other object: kill all remembered values at that
+                     offset, then remember the new one *)
+                  t.fields <-
+                    (key, v)
+                    :: List.filter (fun ((_, off), _) -> off <> f.Classfile.fld_offset) t.fields;
+                  true
+                end
+            | Node.Load_static sf -> (
+                match List.assoc_opt sf.Classfile.sf_index t.statics with
+                | Some v ->
+                    Hashtbl.replace subst n.Node.id v;
                     changed := true;
                     Graph.delete_node g n.Node.id;
                     false
-                  end
-                  else begin
-                    t.statics <-
-                      (sf.Classfile.sf_index, v)
-                      :: List.remove_assoc sf.Classfile.sf_index t.statics;
-                    true
-                  end
-              | Node.Array_load (a, i) -> (
-                  let key = (resolve a, resolve i) in
-                  match List.assoc_opt key t.arrays with
-                  | Some v ->
-                      Hashtbl.replace subst n.Node.id v;
-                      changed := true;
-                      Graph.delete_node g n.Node.id;
-                      false
-                  | None ->
-                      t.arrays <- (key, n.Node.id) :: t.arrays;
-                      true)
-              | Node.Array_store (a, i, v) ->
-                  (* any array store may alias any remembered element *)
-                  t.arrays <- [ ((resolve a, resolve i), resolve v) ];
-                  ignore v;
+                | None ->
+                    t.statics <- (sf.Classfile.sf_index, n.Node.id) :: t.statics;
+                    true)
+            | Node.Store_static (sf, v) ->
+                let v = resolve v in
+                if List.assoc_opt sf.Classfile.sf_index t.statics = Some v then begin
+                  changed := true;
+                  Graph.delete_node g n.Node.id;
+                  false
+                end
+                else begin
+                  t.statics <-
+                    (sf.Classfile.sf_index, v)
+                    :: List.remove_assoc sf.Classfile.sf_index t.statics;
                   true
-              | Node.Invoke (k, m, _) ->
-                  (* calls may write anything — unless the callee's summary
-                     proves it pure (no caller-visible writes), in which
-                     case every remembered value survives the call *)
-                  (match summaries with
-                  | Some tbl when (Summary.call_summary tbl k m).Summary.s_pure -> ()
-                  | _ -> kill_everything t);
-                  true
-              | Node.Monitor_enter _ | Node.Monitor_exit _ ->
-                  (* monitors order memory *)
-                  kill_everything t;
-                  true
-              | Node.Const _ | Node.Param _ | Node.Phi _ | Node.Arith _ | Node.Neg _
-              | Node.Not _ | Node.Cmp _ | Node.RefCmp _ | Node.New _ | Node.Alloc _
-              | Node.Alloc_array _ | Node.New_array _ | Node.Stack_alloc _
-              | Node.Stack_alloc_array _ | Node.Array_length _
-              | Node.Instance_of _ | Node.Has_class _ | Node.Check_cast _ | Node.Null_check _
-              | Node.Print _ ->
-                  true)
-            (Graph.instr_list b)
-        in
-        if List.length kept <> Pea_support.Dyn_array.length b.Graph.instrs then begin
-          Pea_support.Dyn_array.clear b.Graph.instrs;
-          List.iter (fun n -> ignore (Pea_support.Dyn_array.push b.Graph.instrs n)) kept
-        end
+                end
+            | Node.Array_load (a, i) -> (
+                let key = (resolve a, resolve i) in
+                match List.assoc_opt key t.arrays with
+                | Some v ->
+                    Hashtbl.replace subst n.Node.id v;
+                    changed := true;
+                    Graph.delete_node g n.Node.id;
+                    false
+                | None ->
+                    t.arrays <- (key, n.Node.id) :: t.arrays;
+                    true)
+            | Node.Array_store (a, i, v) ->
+                (* any array store may alias any remembered element *)
+                t.arrays <- [ ((resolve a, resolve i), resolve v) ];
+                ignore v;
+                true
+            | Node.Invoke (k, m, _) ->
+                (* calls may write anything — unless the callee's summary
+                   proves it pure (no caller-visible writes), in which
+                   case every remembered value survives the call *)
+                (match summaries with
+                | Some tbl when (Summary.call_summary tbl k m).Summary.s_pure -> ()
+                | _ -> kill_everything t);
+                true
+            | Node.Monitor_enter _ | Node.Monitor_exit _ ->
+                (* monitors order memory *)
+                kill_everything t;
+                true
+            | Node.Const _ | Node.Param _ | Node.Phi _ | Node.Arith _ | Node.Neg _
+            | Node.Not _ | Node.Cmp _ | Node.RefCmp _ | Node.New _ | Node.Alloc _
+            | Node.Alloc_array _ | Node.New_array _ | Node.Stack_alloc _
+            | Node.Stack_alloc_array _ | Node.Array_length _
+            | Node.Instance_of _ | Node.Has_class _ | Node.Check_cast _ | Node.Null_check _
+            | Node.Print _ ->
+                true)
+          b.Graph.instrs
       end)
     g;
   if !changed then begin

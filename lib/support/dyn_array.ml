@@ -54,6 +54,17 @@ let copy t = { data = Array.copy t.data; len = t.len }
 
 let clear t = t.len <- 0
 
+let filter_in_place p t =
+  let j = ref 0 in
+  for i = 0 to t.len - 1 do
+    let x = t.data.(i) in
+    if p x then begin
+      t.data.(!j) <- x;
+      incr j
+    end
+  done;
+  t.len <- !j
+
 let exists p t =
   let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
   loop 0

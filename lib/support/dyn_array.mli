@@ -47,6 +47,10 @@ val copy : 'a t -> 'a t
 (** [clear t] removes all elements (indices become invalid). *)
 val clear : 'a t -> unit
 
+(** [filter_in_place p t] keeps, in order, the elements that satisfy
+    [p], calling [p] once per element in index order. *)
+val filter_in_place : ('a -> bool) -> 'a t -> unit
+
 (** [exists p t] is [true] iff some element satisfies [p]. *)
 val exists : ('a -> bool) -> 'a t -> bool
 

@@ -227,21 +227,22 @@ let test_escape_regression () =
   expect_rule "SPEC06" g
 
 (* SPEC07: an OSR graph that loses a local-slot transfer. *)
-let test_transfer_map_hole () =
-  let src =
-    "class C {\n\
-    \  static int f(int n) {\n\
-    \    int acc = 0;\n\
-    \    int i = 0;\n\
-    \    while (i < n) { acc = acc + i; i = i + 1; }\n\
-    \    return acc;\n\
-    \  }\n\
-     }"
-  in
-  let program = Link.compile_source ~require_main:false src in
+let transfer_map_src =
+  "class C {\n\
+  \  static int f(int n) {\n\
+  \    int acc = 0;\n\
+  \    int i = 0;\n\
+  \    while (i < n) { acc = acc + i; i = i + 1; }\n\
+  \    return acc;\n\
+  \  }\n\
+   }"
+
+(* [C.f]'s loop compiled for OSR entry under [config], with its first
+   parameter (the transfer of local slot 0) dropped. *)
+let osr_graph_missing_slot0 config =
+  let program = Link.compile_source ~require_main:false transfer_map_src in
   let f = Link.find_method program "C" "f" in
   let profile = Profile.create program in
-  let config = Test_env.apply Jit.default_config in
   (* find the loop header the interpreter would OSR at: the only
      back-edge target; build directly at bci of the while condition *)
   let compiled =
@@ -263,10 +264,28 @@ let test_transfer_map_hole () =
   (match g.Graph.params with
   | _ :: rest -> g.Graph.params <- rest
   | [] -> Alcotest.fail "OSR graph has no params");
+  g
+
+let test_transfer_map_hole () =
+  let g = osr_graph_missing_slot0 (Test_env.apply Jit.default_config) in
   expect_rule "SPEC07" g;
   (* satellite: the structural IR checker must reject it too *)
   Alcotest.(check bool) "IR checker rejects the malformed transfer map" true
-    (Check.check g <> [])
+    (Check.check g <> []);
+  (* exact texts on the default pipeline (node ids depend on the
+     configuration, so this graph does not follow the test axes) *)
+  let g = osr_graph_missing_slot0 Jit.default_config in
+  Alcotest.(check (list string))
+    "full IR checker error list"
+    [
+      "v0 used by v5 but not defined in any reachable block";
+      "OSR transfer map at bci 4 misses live local slot 0";
+    ]
+    (Check.check g);
+  Alcotest.(check (list string))
+    "full verifier violation list"
+    [ "[SPEC07] C.f params: OSR entry at bci 4 transfers no value for live local slot 0" ]
+    (List.map (Fmt.str "%a" Spec_check.pp_violation) (Spec_check.check g))
 
 (* SPEC08: deopt provenance pointing at a non-branch bytecode. *)
 let test_edge_off_branch () =

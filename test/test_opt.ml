@@ -166,6 +166,52 @@ let test_gvn_respects_dominance () =
   Alcotest.(check int) "two multiplications remain" 2
     (count_ops gf (function Node.Arith (Node.Mul, _, _) -> true | _ -> false))
 
+(* GVN keys: what must stay apart, and what must merge. *)
+let gvn_key_src =
+  "class C { int v; static int sq(int x) { return x * x; } }\n\
+   class Main { static int main() { return C.sq(3); } }"
+
+let test_gvn_keys_distinct () =
+  let program = Link.compile_source gvn_key_src in
+  let key = Pea_opt.Gvn.key_of_op Fun.id in
+  let differ what a b =
+    Alcotest.(check bool) (what ^ " has a key") true (Option.is_some (key a));
+    Alcotest.(check bool) what false (key a = key b)
+  in
+  differ "int 1 vs bool true" (Node.Const (Node.Cint 1)) (Node.Const (Node.Cbool true));
+  differ "int 0 vs null" (Node.Const (Node.Cint 0)) (Node.Const Node.Cnull);
+  differ "sub operand order" (Node.Arith (Node.Sub, 1, 2)) (Node.Arith (Node.Sub, 2, 1));
+  differ "lt vs le" (Node.Cmp (Classfile.Clt, 1, 2)) (Node.Cmp (Classfile.Cle, 1, 2));
+  differ "add vs mul" (Node.Arith (Node.Add, 1, 2)) (Node.Arith (Node.Mul, 1, 2));
+  let c = Link.find_class program "C" in
+  differ "instanceof vs hasclass" (Node.Instance_of (1, c)) (Node.Has_class (1, c));
+  (* mergeable invokes: same callee, different arguments *)
+  let summaries = Some (Pea_analysis.Summary.analyze program) in
+  let sq = Link.find_method program "C" "sq" in
+  let ikey args = Pea_opt.Gvn.key_of_invoke Fun.id summaries (Node.Invoke (Node.Static, sq, args)) in
+  Alcotest.(check bool) "sq is mergeable" true (Option.is_some (ikey [| 1 |]));
+  Alcotest.(check bool) "same arguments merge" true (ikey [| 1 |] = ikey [| 1 |]);
+  Alcotest.(check bool) "different arguments stay apart" false (ikey [| 1 |] = ikey [| 2 |]);
+  Alcotest.(check bool) "argument count matters" false (ikey [| 1 |] = ikey [| 1; 1 |])
+
+let test_gvn_keys_commutative () =
+  let key = Pea_opt.Gvn.key_of_op Fun.id in
+  let same what a b =
+    Alcotest.(check bool) (what ^ " has a key") true (Option.is_some (key a));
+    Alcotest.(check bool) what true (key a = key b)
+  in
+  same "add" (Node.Arith (Node.Add, 1, 2)) (Node.Arith (Node.Add, 2, 1));
+  same "mul" (Node.Arith (Node.Mul, 3, 1)) (Node.Arith (Node.Mul, 1, 3));
+  same "refcmp eq" (Node.RefCmp (Classfile.AEq, 1, 2)) (Node.RefCmp (Classfile.AEq, 2, 1));
+  same "refcmp ne" (Node.RefCmp (Classfile.ANe, 1, 2)) (Node.RefCmp (Classfile.ANe, 2, 1));
+  Alcotest.(check bool) "eq vs ne stay apart" false
+    (key (Node.RefCmp (Classfile.AEq, 1, 2)) = key (Node.RefCmp (Classfile.ANe, 1, 2)));
+  (* operands are compared after resolution *)
+  let resolve id = if id = 5 then 1 else id in
+  Alcotest.(check bool) "resolved operands" true
+    (Pea_opt.Gvn.key_of_op resolve (Node.Arith (Node.Add, 5, 2))
+    = key (Node.Arith (Node.Add, 2, 1)))
+
 (* ------------------------------------------------------------------ *)
 (* Inlining                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -509,6 +555,8 @@ let () =
         [
           Alcotest.test_case "dedup" `Quick test_gvn_dedup;
           Alcotest.test_case "respects dominance" `Quick test_gvn_respects_dominance;
+          Alcotest.test_case "keys keep distinct ops apart" `Quick test_gvn_keys_distinct;
+          Alcotest.test_case "keys merge commutative ops" `Quick test_gvn_keys_commutative;
         ] );
       ( "inline",
         [
