@@ -1220,7 +1220,8 @@ let verify_section () =
 (* Three serving contracts, measured end to end:
    1. throughput scales with worker domains on a warm shared cache
       (wall clock — the one number the deterministic counters cannot
-      state; gated only when the host actually has the cores);
+      state; gated only when the host actually has the cores), and one
+      worker costs at most 1.2x the replay wall time of the same script;
    2. a forced deopt storm in one tenant leaves every other tenant's
       p50/p99 latency within 10% of a stormless baseline (the harness's
       replay determinism actually makes them *exactly* equal);
@@ -1250,23 +1251,38 @@ let serving_section () =
   in
   let script = heavy_script ~tenants:8 ~rounds:6 ~per_tenant:6 in
   let requests = List.fold_left (fun n r -> n + List.length r) 0 script.Server.sc_rounds in
-  let measure workers =
+  let measure mode =
     let t0 = Unix.gettimeofday () in
-    let r = Server.run ~config:(config (Server.Threaded workers)) script in
+    let r = Server.run ~config:(config mode) script in
     let dt = Unix.gettimeofday () -. t0 in
     let lat = List.concat_map (fun tr -> tr.Server.tr_latencies) r.Server.r_tenants in
     (dt, float_of_int requests /. dt, Server.percentile lat 50, Server.percentile lat 99)
+  in
+  (* replay against one worker, alternated and timed before any
+     threaded row, so that both see the same heap and no pool domain;
+     gated on the median pair *)
+  let pairs =
+    List.init 5 (fun _ ->
+        let replay_dt, _, _, _ = measure Server.Replay in
+        let one_dt, _, _, _ = measure (Server.Threaded 1) in
+        (replay_dt, one_dt /. replay_dt))
+    |> List.sort (fun (_, a) (_, b) -> compare a b)
   in
   Printf.printf "%-8s | %9s %12s %10s %10s\n" "workers" "seconds" "requests/s" "p50 cycles"
     "p99 cycles";
   let rows =
     List.map
       (fun w ->
-        let dt, rps, p50, p99 = measure w in
+        let dt, rps, p50, p99 = measure (Server.Threaded w) in
         Printf.printf "%-8d | %9.3f %12.0f %10d %10d\n%!" w dt rps p50 p99;
         (w, dt, rps, p50, p99))
       [ 1; 2; 4 ]
   in
+  let replay_dt, handoff = List.nth pairs 2 in
+  Printf.printf
+    "replay   | %9.3f (1 worker / replay, median of 5 alternated pairs = %.2fx; gate: <= \
+     1.2x): %s\n%!"
+    replay_dt handoff (gate "serving threaded 1 worker <= 1.2x replay" (handoff <= 1.2));
   let rps_of w = List.find_map (fun (w', _, rps, _, _) -> if w' = w then Some rps else None) rows in
   let scaling =
     match (rps_of 1, rps_of 4) with Some a, Some b -> b /. a | _ -> 0.0
@@ -1318,7 +1334,9 @@ let serving_section () =
         w dt rps p50 p99
         (if i = List.length rows - 1 then "" else ","))
     rows;
-  Printf.fprintf oc "  ],\n  \"scaling_1_to_4\": %.3f,\n" scaling;
+  Printf.fprintf oc "  ],\n  \"replay_seconds\": %.4f,\n  \"threaded_1_over_replay\": %.3f,\n"
+    replay_dt handoff;
+  Printf.fprintf oc "  \"scaling_1_to_4\": %.3f,\n" scaling;
   Printf.fprintf oc "  \"scaling_gate_pass\": %b,\n" scaling_pass;
   Printf.fprintf oc "  \"scaling_gate_waived_single_core\": %b,\n" (single_core && scaling < 1.5);
   Printf.fprintf oc

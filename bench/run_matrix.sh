@@ -1,50 +1,33 @@
 #!/bin/sh
 # Run the tier-1 test suites under every VM configuration the matrix
-# covers: optimization level (none / ea / pea) crossed with
-# interprocedural escape summaries (on / off) crossed with on-stack
-# replacement (on / off) crossed with the compile mode (sync / replay);
-# a separate sweep toggles speculative guarded inlining (on / off)
-# across the optimization levels. The suites read the forced
-# configuration from MJVM_TEST_OPT / MJVM_TEST_SUMMARIES /
-# MJVM_TEST_OSR / MJVM_TEST_COMPILE_MODE / MJVM_TEST_INLINING (see
-# test/test_env.ml, which rejects unknown variables and values); a
-# differential or monotonicity failure in any cell is a real bug in
-# that configuration. Compiled code always runs on the closure tier;
-# its cost model is pinned to the Ir_exec reference graph by graph in
-# test/test_properties.ml. Two extra cells re-run the
-# default configuration with the stack-allocation tier forced off
-# (MJVM_TEST_STACKALLOC=off), alone and under the correctness tooling. Three final cells re-run the
-# default configuration with a global tracer installed
-# (MJVM_TEST_TRACE=1) and with the global sampling + heap profilers
-# installed (MJVM_TEST_PROFILE=1) to check that instrumentation never
-# changes behaviour, and with real compiler domains
-# (MJVM_TEST_COMPILE_MODE=async) to check the threaded pipeline end to
-# end. Async is kept out of
-# the main product: its deterministic counters are pinned bit-for-bit to
-# replay's by test_async.ml, so replay stands in for it cheaply. Two
-# serving cells re-run the suites with the multi-tenant harness in
-# forced-replay mode and with real worker domains (MJVM_TEST_SERVE,
-# see test/test_serving.ml) — the real-domain cell is the serving
-# analogue of the async cell.
+# covers, each cell forcing its configuration through MJVM_TEST_*
+# variables (see test/test_env.ml, which rejects unknown variables and
+# values); a differential or monotonicity failure in any cell is a real
+# bug in that configuration.
 #
-# Failures do not stop the sweep: every failing cell prints its
-# environment line (the exact rerun command) first, then the output
-# tail, and the remaining cells still run, so one broken cell cannot
-# mask another. The exit code covers every cell — including the final
-# ones — and is non-zero iff any cell failed.
-#
-# MJVM_TEST_QCHECK_COUNT scales the property-based suites up from their
-# fast local defaults: every matrix cell runs 500+ random programs per
-# differential property.
-#
-# A second sweep re-runs the opt x osr x compile-mode matrix with
-# the correctness tooling forced on (MJVM_TEST_CHECK_LEVEL=every-phase,
-# MJVM_TEST_ORACLE=on): the speculation-safety verifier audits the deopt
-# metadata after every optimization phase and the oracle bisimulates
-# every deoptimization against a shadow interpreter replay.
+# - opt (none / ea / pea) x summaries (on / off) x OSR (on / off) x
+#   compile mode (sync / replay). Async stays out of the product: its
+#   deterministic counters are pinned bit-for-bit to replay's by
+#   test_async.ml, so replay stands in for it cheaply.
+# - speculative guarded inlining (on / off) x opt.
+# - the correctness tooling (MJVM_TEST_CHECK_LEVEL=every-phase,
+#   MJVM_TEST_ORACLE=on) x opt x OSR x compile mode: the verifier audits
+#   the deopt metadata after every phase and the oracle bisimulates every
+#   deoptimization against a shadow interpreter replay.
+# - single cells on the default configuration: stack allocation off,
+#   alone and under the tooling; the verifier fully off; a global tracer
+#   (MJVM_TEST_TRACE=1); the global sampling + heap profilers
+#   (MJVM_TEST_PROFILE=1), which must never change behaviour; and
+#   MJVM_TEST_COMPILE_MODE=async, the threaded pipeline end to end on
+#   the domain pool.
 #
 # Cells: 24 (opt x summaries x osr x mode) + 6 (inlining x opt) + 12
-# (verify: opt x osr x mode) + 8 single cells = 50.
+# (verify: opt x osr x mode) + 6 single cells = 48.
+#
+# Failures do not stop the sweep: a failing cell prints its environment
+# line (the exact rerun command), then the output tail, and the exit
+# code is non-zero iff any cell failed. MJVM_TEST_QCHECK_COUNT scales
+# the property-based suites to 500+ random programs per property.
 #
 # Usage: bench/run_matrix.sh   (from the repository root)
 
@@ -134,17 +117,8 @@ run_cell "check-level=none (verifier fully off: production-shaped config)" \
 run_cell "trace=on (default configuration, global tracer installed)" "MJVM_TEST_TRACE=1"
 run_cell "profile=on (default configuration, global sampling + heap profilers installed)" \
   "MJVM_TEST_PROFILE=1"
-run_cell "compile-mode=async (default configuration, real compiler domains)" \
+run_cell "compile-mode=async (default configuration, compiles on the domain pool)" \
   "MJVM_TEST_COMPILE_MODE=async"
-
-# Serving cells: the multi-tenant harness in forced-replay mode (the
-# same single-threaded schedule CI pins), and with real worker domains
-# (MJVM_TEST_SERVE=real unlocks the threaded-vs-replay equality and
-# threaded storm-isolation suites in test_serving.ml).
-run_cell "serve=replay (multi-tenant harness, deterministic schedule)" \
-  "MJVM_TEST_SERVE=replay"
-run_cell "serve=real (multi-tenant harness, real worker domains)" \
-  "MJVM_TEST_SERVE=real"
 
 if [ "$failed_cells" -gt 0 ]; then
   echo ""

@@ -115,7 +115,7 @@ let mode_arg =
     & info [ "compile-mode" ] ~docv:"MODE"
         ~doc:
           "When the JIT pipeline runs: sync (inline at the threshold, stalling the mutator), \
-           async (bounded queue + background compiler domains, code installed at a modeled \
+           async (bounded queue compiled on a background domain pool, code installed at a modeled \
            deadline), or replay (async's queue discipline single-threaded on the VM clock — \
            every queue decision is deterministic). Model-cycle statistics are identical \
            between async and replay")
@@ -128,13 +128,6 @@ let queue_cap_arg =
         ~doc:
           "Background compile queue bound; requests beyond it are dropped and the method is \
            reprofiled")
-
-let domains_arg =
-  Arg.(
-    value
-    & opt int Jit.default_config.Jit.compile_domains
-    & info [ "compile-domains" ] ~docv:"N"
-        ~doc:"Compiler domains running concurrently under --compile-mode async")
 
 let check_level_conv =
   let parse s =
@@ -216,7 +209,7 @@ let setup_logs verbose =
   end
 
 let config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc osr_threshold
-    no_osr compile_mode compile_queue_cap compile_domains check_level oracle =
+    no_osr compile_mode compile_queue_cap check_level oracle =
   {
     Jit.default_config with
     Jit.opt;
@@ -230,7 +223,6 @@ let config opt threshold no_inline no_inlining no_prune no_summaries no_stackall
     osr_threshold;
     compile_mode;
     compile_queue_cap;
-    compile_domains;
     check_level;
     oracle;
   }
@@ -257,16 +249,15 @@ let compile_file_or_exit ?require_main file =
 
 let run_cmd =
   let action file opt threshold iterations stats no_inline no_inlining no_prune no_summaries
-      no_stackalloc osr_threshold no_osr compile_mode compile_queue_cap compile_domains
-      check_level oracle verbose trace trace_format flight_dump =
+      no_stackalloc osr_threshold no_osr compile_mode compile_queue_cap check_level oracle verbose
+      trace trace_format flight_dump =
     setup_logs verbose;
     let program = compile_file_or_exit file in
     (let vm =
        Vm.create
          ~config:
            (config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc
-              osr_threshold no_osr compile_mode compile_queue_cap compile_domains
-              check_level oracle)
+              osr_threshold no_osr compile_mode compile_queue_cap check_level oracle)
          program
      in
      let tracer =
@@ -384,8 +375,7 @@ let run_cmd =
     Term.(
       const action $ file_arg $ opt_arg $ threshold_arg $ iterations_arg $ stats_arg
       $ no_inline_arg $ no_inlining_arg $ no_prune_arg $ no_summaries_arg $ no_stackalloc_arg
-      $ osr_threshold_arg $ no_osr_arg $ mode_arg $ queue_cap_arg $ domains_arg $ check_level_arg
-      $ oracle_arg
+      $ osr_threshold_arg $ no_osr_arg $ mode_arg $ queue_cap_arg $ check_level_arg $ oracle_arg
       $ verbose_arg $ trace_arg $ trace_format_arg $ flight_dump_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a MiniJava program on the tiered VM") term

@@ -1,6 +1,6 @@
 (* Multi-tenant request server on OCaml 5 domains.
 
-   N worker domains serve MJ request handlers over per-tenant VM
+   N workers serve MJ request handlers over per-tenant VM
    instances, backed by the sharded {!Shared_cache} and one background
    {!Pea_vm.Compile_queue} serving every tenant. The design invariant —
    the one "Correctness of Speculative Optimizations with Dynamic
@@ -30,8 +30,10 @@
         the first requester's profile snapshot as the compile input.
 
    Replay mode runs the same schedule single-threaded; threaded mode runs
-   each round's tenants on [Domain]s (statically assigned: tenant id mod
-   workers) with the compiler pipeline on real domains too. Both modes
+   each round's tenants as one {!Pea_support.Pool} job per worker
+   (statically assigned: tenant id mod workers) with the compiler
+   pipeline on the pool too; [run_rounds] holds the pool open, so the
+   workers the first round spawns serve every round. Both modes
    make exactly the same model decisions, so every deterministic counter
    is bit-for-bit identical — threaded mode's only divergence is
    wall-clock, which is the point of the scaling benchmark. *)
@@ -42,6 +44,7 @@ module Vm = Pea_vm.Vm
 module Jit = Pea_vm.Jit
 module Compile_queue = Pea_vm.Compile_queue
 module Trace = Pea_obs.Trace
+module Pool = Pea_support.Pool
 module Event = Pea_obs.Event
 module Pcpu = Pea_obs.Profile_cpu
 module Pheap = Pea_obs.Profile_heap
@@ -59,7 +62,7 @@ type script = {
   sc_rounds : request list list;
 }
 
-type mode = Replay | Threaded of int (* worker domains *)
+type mode = Replay | Threaded of int (* workers: jobs per round on the pool *)
 
 type config = {
   sv_mode : mode;
@@ -164,6 +167,9 @@ let summaries_of ap =
 (* ------------------------------------------------------------------ *)
 
 let create ?(config = default_config) (script : script) : t =
+  (match config.sv_mode with
+  | Threaded n when n < 1 -> invalid_arg "Server.create: Threaded needs at least one worker"
+  | Threaded _ | Replay -> ());
   let apps =
     Array.of_list
       (List.mapi
@@ -217,7 +223,7 @@ let create ?(config = default_config) (script : script) : t =
       queue =
         Compile_queue.create
           ~threaded:(match config.sv_mode with Threaded _ -> true | Replay -> false)
-          ~cap:config.sv_queue_cap ~max_domains:config.sv_jit.Jit.compile_domains;
+          ~cap:config.sv_queue_cap;
       meta = Hashtbl.create 16;
       failed = Hashtbl.create 8;
       stats = Stats.create ();
@@ -286,16 +292,16 @@ let run_round server (reqs : request list) =
           let w = rq.rq_tenant mod workers in
           per_worker.(w) <- rq :: per_worker.(w))
         reqs;
-      let doms =
+      let jobs =
         Array.map
           (fun rev ->
             let mine = List.rev rev in
-            Domain.spawn (fun () ->
+            Pool.submit (fun () ->
                 Trace.suppress (fun () ->
                     List.iter (fun rq -> exec_request server.tenants.(rq.rq_tenant) rq) mine)))
           per_worker
       in
-      Array.iter Domain.join doms
+      Array.iter Pool.await jobs
 
 (* ------------------------------------------------------------------ *)
 (* Barrier (coordinator only, deterministic order)                     *)
@@ -510,13 +516,17 @@ let with_global_profilers_suspended server f =
         f
 
 let run_rounds server (rounds : request list list) =
-  with_global_profilers_suspended server (fun () ->
-      List.iter
-        (fun reqs ->
-          run_round server reqs;
-          barrier server reqs;
-          server.round <- server.round + 1)
-        rounds)
+  let serve () =
+    with_global_profilers_suspended server (fun () ->
+        List.iter
+          (fun reqs ->
+            run_round server reqs;
+            barrier server reqs;
+            server.round <- server.round + 1)
+          rounds)
+  in
+  (* threaded rounds reuse the workers the first round spawned *)
+  match server.config.sv_mode with Threaded n -> Pool.hold n serve | Replay -> serve ()
 
 (* Drain the queue after the last round: no mutator runs between passes,
    so no epoch can move and the loop terminates. *)

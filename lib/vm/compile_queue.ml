@@ -9,21 +9,23 @@
    Determinism contract: a task's install point is its *deadline* —
    enqueue cycles + Cost.compile_latency — on the injected VM clock, in
    both modes. Replay compiles on the mutator when the deadline is
-   reached; Async starts the real compile immediately on a compiler
-   domain and the mutator joins it at the deadline. Either way every
-   queue decision (enqueue, dedup, drop, install, stale-discard) happens
-   at the same deterministic cycle, so Async and Replay agree bit-for-bit
-   on all model counters, and Async's only divergence is wall-clock: the
-   compile overlapped with interpretation instead of stalling it.
+   reached; Async starts the real compile immediately on the process's
+   domain pool and the mutator awaits it at the deadline. Either way
+   every queue decision (enqueue, dedup, drop, install, stale-discard)
+   happens at the same deterministic cycle, so Async and Replay agree
+   bit-for-bit on all model counters, and Async's only divergence is
+   wall-clock: the compile overlapped with interpretation instead of
+   stalling it.
 
    Thread-safety: the compile thunk closes over snapshots owned by the
-   task (profile copy, blacklist copy) — a compiler domain never touches
-   live VM state. Domain.spawn/Domain.join are the only synchronization;
-   spawn publishes the snapshots to the worker, join publishes the
-   compiled code back to the mutator. Workers run under Trace.suppress so
-   their events cannot interleave with the mutator's. *)
+   task (profile copy, blacklist copy) — a pool worker never touches
+   live VM state. Pool.submit/Pool.await are the only synchronization;
+   submit publishes the snapshots to the worker, await publishes the
+   compiled code back to the mutator. Async compiles run under
+   Trace.suppress so their events cannot interleave with the mutator's. *)
 
 module Trace = Pea_obs.Trace
+module Pool = Pea_support.Pool
 
 type key = int * int option * bool
 (* (mth_id, osr loop-header bci option, speculative-inlining bit). The
@@ -46,28 +48,20 @@ type task = {
    must leave the VM interpreting the method, never crashed or wedged. *)
 let test_hook : (key -> unit) ref = ref (fun _ -> ())
 
-type runner =
-  | Not_started (* replay; or async waiting for a free compiler domain *)
-  | Running of outcome Domain.t
-
 type entry = {
   en_task : task;
-  mutable en_runner : runner;
+  en_outcome : outcome Pool.promise;
 }
 
 type t = {
   cap : int;
-  max_domains : int;
-  threaded : bool; (* Async: spawn compiler domains; Replay: inline *)
+  threaded : bool; (* Async: compile on the domain pool; Replay: inline *)
   mutable inflight : entry list; (* enqueue order, oldest first; |..| <= cap *)
-  mutable running : int; (* spawned, not yet joined *)
 }
 
-let create ~threaded ~cap ~max_domains =
+let create ~threaded ~cap =
   if cap <= 0 then invalid_arg "Compile_queue.create: cap must be positive";
-  if threaded && max_domains <= 0 then
-    invalid_arg "Compile_queue.create: max_domains must be positive";
-  { cap; max_domains; threaded; inflight = []; running = 0 }
+  { cap; threaded; inflight = [] }
 
 let depth q = List.length q.inflight
 
@@ -85,40 +79,17 @@ let run_task task =
   | code -> Done code
   | exception e -> Failed (Printexc.to_string e)
 
-(* Start queued tasks on compiler domains while slots are free, oldest
-   first. Spawn timing only affects wall clock, never the model. *)
-let fill_domains q =
-  if q.threaded then
-    List.iter
-      (fun e ->
-        match e.en_runner with
-        | Running _ -> ()
-        | Not_started ->
-            if q.running < q.max_domains then begin
-              let task = e.en_task in
-              e.en_runner <- Running (Domain.spawn (fun () -> Trace.suppress (fun () -> run_task task)));
-              q.running <- q.running + 1
-            end)
-      q.inflight
-
+(* Replay compiles on the mutator at the deadline, which puts compile
+   spans in replay traces at that cycle. An Async task still unclaimed
+   then compiles there too: the model already charged the latency. *)
 let enqueue q task =
   if mem q task.t_key then invalid_arg "Compile_queue.enqueue: duplicate key";
   if is_full q then invalid_arg "Compile_queue.enqueue: full";
-  q.inflight <- q.inflight @ [ { en_task = task; en_runner = Not_started } ];
-  fill_domains q
-
-(* Wait for one entry's outcome. Replay compiles here, on the mutator, at
-   the deterministic deadline — so compile-internal trace spans appear in
-   replay traces at the deadline cycle. A deadline can also arrive before
-   an async task ever got a domain slot (cap > domains); compiling inline
-   then is equivalent: the model already charged the full latency. *)
-let finish q e =
-  match e.en_runner with
-  | Running d ->
-      let outcome = Domain.join d in
-      q.running <- q.running - 1;
-      outcome
-  | Not_started -> if q.threaded then Trace.suppress (fun () -> run_task e.en_task) else run_task e.en_task
+  let en_outcome =
+    if q.threaded then Pool.submit (fun () -> Trace.suppress (fun () -> run_task task))
+    else Pool.deferred (fun () -> run_task task)
+  in
+  q.inflight <- q.inflight @ [ { en_task = task; en_outcome } ]
 
 (* [due q ~now] removes and resolves every task whose deadline has been
    reached, in enqueue order. *)
@@ -127,7 +98,5 @@ let due q ~now =
   else begin
     let ready, rest = List.partition (fun e -> e.en_task.t_deadline <= now) q.inflight in
     q.inflight <- rest;
-    let results = List.map (fun e -> (e.en_task, finish q e)) ready in
-    fill_domains q;
-    results
+    List.map (fun e -> (e.en_task, Pool.await e.en_outcome)) ready
   end

@@ -6,14 +6,14 @@
     drop-and-reprofile backpressure). A task resolves at its {e deadline}
     — enqueue cycles + {!Pea_rt.Cost.compile_latency} — on the injected
     VM clock in both modes: Replay compiles on the mutator when the
-    deadline is polled, Async compiles eagerly on OCaml 5 compiler
-    domains and joins at the deadline. Every queue decision therefore
-    lands at the same deterministic cycle in both modes; Async's gain is
-    pure wall-clock overlap.
+    deadline is polled, Async compiles eagerly on the process's
+    {!Pea_support.Pool} and awaits the result at the deadline. Every
+    queue decision therefore lands at the same deterministic cycle in
+    both modes; Async's gain is pure wall-clock overlap.
 
     Compile thunks must close only over task-owned snapshots (profile
-    copy, blacklist copy): a compiler domain never reads live VM state.
-    Workers run under {!Pea_obs.Trace.suppress}. *)
+    copy, blacklist copy): a pool worker never reads live VM state.
+    Async compiles run under {!Pea_obs.Trace.suppress}. *)
 
 type key = int * int option * bool
 (** [(mth_id, osr loop-header bci option, speculative-inlining bit)]. The
@@ -40,9 +40,9 @@ val test_hook : (key -> unit) ref
 
 type t
 
-(** [create ~threaded ~cap ~max_domains] — [threaded] selects Async
-    (compiler domains) over Replay (inline at the deadline). *)
-val create : threaded:bool -> cap:int -> max_domains:int -> t
+(** [create ~threaded ~cap] — [threaded] selects Async (the domain pool)
+    over Replay (inline at the deadline). *)
+val create : threaded:bool -> cap:int -> t
 
 val depth : t -> int
 
@@ -54,13 +54,13 @@ val mem : t -> key -> bool
 val has_inflight : t -> bool
 
 val enqueue : t -> task -> unit
-(** Queue a task (Async: starts compiling as soon as a domain is free).
+(** Queue a task (Async: submits it to the domain pool).
     @raise Invalid_argument on a duplicate key or a full queue — callers
     must check {!mem} and {!is_full} first and apply their own dedup /
     backpressure policy. *)
 
 val due : t -> now:int -> (task * outcome) list
 (** [due q ~now] removes and resolves every task whose deadline has been
-    reached, in enqueue order — blocking on the compiler domain (Async)
-    or compiling inline (Replay) as needed. Pass [now:max_int] to drain
-    the queue completely. *)
+    reached, in enqueue order — awaiting the pool (Async) or compiling
+    inline (Replay) as needed. Pass [now:max_int] to drain the queue
+    completely. *)

@@ -27,12 +27,12 @@ let opt_string = function O_none -> "none" | O_ea -> "ea" | O_pea -> "pea"
    modes install code at the same modeled deadline (enqueue cycles +
    Cost.compile_latency), so async and replay agree bit-for-bit on every
    deterministic counter; async additionally overlaps the real compile
-   with interpretation on compiler domains (a wall-clock win), while
+   with interpretation on the domain pool (a wall-clock win), while
    replay runs the identical queue discipline single-threaded so its
    decisions can be goldened. *)
 type compile_mode =
   | Sync (* compile inline at the threshold, stalling the mutator *)
-  | Async (* bounded queue + compiler domains, install at the deadline *)
+  | Async (* bounded queue + domain pool, install at the deadline *)
   | Replay (* async's queue discipline, single-threaded, deterministic *)
 
 let mode_string = function Sync -> "sync" | Async -> "async" | Replay -> "replay"
@@ -65,7 +65,6 @@ type config = {
          compiling it and pins it to the interpreter *)
   compile_mode : compile_mode;
   compile_queue_cap : int; (* queued tasks beyond which requests are dropped *)
-  compile_domains : int; (* compiler domains running concurrently (Async) *)
 }
 
 let default_config =
@@ -89,7 +88,6 @@ let default_config =
     deopt_storm_limit = 5;
     compile_mode = Sync;
     compile_queue_cap = 8;
-    compile_domains = 2;
   }
 
 type compiled = {

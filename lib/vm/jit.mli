@@ -25,8 +25,8 @@ type opt_level =
     modes install code at the same modeled deadline (enqueue cycles +
     {!Pea_rt.Cost.compile_latency}): [Async] and [Replay] agree
     bit-for-bit on every deterministic counter, and [Async] additionally
-    overlaps the real compilation with interpretation on OCaml 5 compiler
-    domains. [Sync] compiles inline at the threshold — today's behaviour,
+    overlaps the real compilation with interpretation on the domain
+    pool. [Sync] compiles inline at the threshold — today's behaviour,
     charging the latency to the mutator as
     {!Pea_rt.Stats.compile_stall_cycles}. *)
 type compile_mode =
@@ -76,13 +76,11 @@ type config = {
   compile_queue_cap : int;
       (* queued background tasks beyond which new requests are dropped
          with their hotness counter reset (drop-and-reprofile) *)
-  compile_domains : int; (* compiler domains running concurrently (Async) *)
 }
 
 (** PEA on, everything enabled, threshold 10, closure tier, OSR after 100
     back edges, interpreter-pinning after 5 invalidations, synchronous
-    compilation (queue cap 8 and 2 compiler domains once switched to
-    [Async]/[Replay]). *)
+    compilation (queue cap 8 once switched to [Async]/[Replay]). *)
 val default_config : config
 
 type compiled = {

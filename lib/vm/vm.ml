@@ -609,14 +609,8 @@ let create ?(config = Jit.default_config) (program : Link.program) : t =
         queue =
           (match config.Jit.compile_mode with
           | Jit.Sync -> None
-          | Jit.Replay ->
-              Some
-                (Compile_queue.create ~threaded:false ~cap:config.Jit.compile_queue_cap
-                   ~max_domains:config.Jit.compile_domains)
-          | Jit.Async ->
-              Some
-                (Compile_queue.create ~threaded:true ~cap:config.Jit.compile_queue_cap
-                   ~max_domains:config.Jit.compile_domains));
+          | Jit.Replay -> Some (Compile_queue.create ~threaded:false ~cap:config.Jit.compile_queue_cap)
+          | Jit.Async -> Some (Compile_queue.create ~threaded:true ~cap:config.Jit.compile_queue_cap));
         epochs = Array.make (max (Array.length program.Link.methods) 1) 0;
         compile_failed = Hashtbl.create 8;
         code_source = None;

@@ -242,7 +242,6 @@ let stress_config mode =
     deopt_storm_limit = 2;
     compile_mode = mode;
     compile_queue_cap = 2;
-    compile_domains = 2;
   }
 
 (* A fixed op budget of interleaved calls; every 45th/60th call takes

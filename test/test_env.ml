@@ -28,14 +28,6 @@
      profilers for the whole suite, same discipline as MJVM_TEST_TRACE:
      the profiles are discarded, the point is that profiling must not
      move any result or deterministic counter;
-   - MJVM_TEST_SERVE = replay | real selects the multi-tenant serving
-     harness mode for test_serving.ml: `replay` (what the @serving alias
-     forces for CI) runs the deterministic single-threaded schedule;
-     `real` additionally unlocks the threaded suites that run real
-     worker domains and pin their reports bit-for-bit to replay's. This
-     axis is read by test_serving.ml through [serve_real], not through
-     [apply] — the serving harness owns its tenants' compile mode and
-     OSR settings by design.
 
    on | off also accept 1 | 0 and true | false. Unset variables leave the
    test's own configuration untouched. A set MJVM_TEST_* variable this
@@ -63,8 +55,6 @@ let flag = function
 let choice l v = List.assoc_opt v l
 
 let positive s = match int_of_string_opt s with Some n when n > 0 -> Some n | _ -> None
-
-let serve_mode = choice [ ("replay", false); ("real", true) ]
 
 (* [apply_env env cfg] is [apply] reading the variables through [env]. *)
 let apply_env env (cfg : Jit.config) =
@@ -99,7 +89,6 @@ let known =
     "MJVM_TEST_QCHECK_COUNT";
     "MJVM_TEST_TRACE";
     "MJVM_TEST_PROFILE";
-    "MJVM_TEST_SERVE";
   ]
 
 (* [check_env vars] validates an environment given as [(name, value)]
@@ -116,8 +105,7 @@ let check_env vars =
   ignore (apply_env env Jit.default_config);
   ignore (get ~env "MJVM_TEST_QCHECK_COUNT" positive);
   ignore (get ~env "MJVM_TEST_TRACE" flag);
-  ignore (get ~env "MJVM_TEST_PROFILE" flag);
-  ignore (get ~env "MJVM_TEST_SERVE" serve_mode)
+  ignore (get ~env "MJVM_TEST_PROFILE" flag)
 
 let () =
   check_env
@@ -139,9 +127,6 @@ let () =
 (* Tests that compare optimization levels against each other are
    meaningless when the level is forced from the outside. *)
 let opt_forced () = Sys.getenv_opt "MJVM_TEST_OPT" <> None
-
-(* Serving-harness mode: whether the real-domain suites are unlocked. *)
-let serve_real () = get "MJVM_TEST_SERVE" serve_mode = Some true
 
 (* The forced stack-allocation setting, for suites that sweep both
    halves themselves when it is unset. *)

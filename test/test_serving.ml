@@ -12,9 +12,9 @@
      current epoch.
    - Replay determinism: two runs of the same session script produce
      structurally identical reports and byte-identical trace JSONL.
-   - Threaded mode (MJVM_TEST_SERVE=real): real worker domains produce
-     the same reports as replay — counter-identical, not just
-     result-identical.
+   - Threaded mode: workers on the process's domain pool produce the
+     same reports as replay — counter-identical, not just
+     result-identical. Sync VMs and replay servers never start the pool.
 
    Serving configs are built explicitly: the harness forces Sync + no
    OSR on tenant VMs by design, so [Test_env.apply]'s compile-mode and
@@ -67,11 +67,11 @@ let test_storm_quarantines_stormy () =
   Alcotest.(check bool) "stormy tenant deopted repeatedly" true
     ((tenant r "stormy").Server.tr_stats.Stats.s_deopts >= 5)
 
-let test_storm_quarantine_is_interp_only () =
+let check_quarantine_is_interp_only config =
   let script =
     Sessions.storm_script ~storm:true ~victims:2 ~rounds:26 ~requests_per_round:6 ~seed:11 ()
   in
-  let server = Server.create ~config:storm_config script in
+  let server = Server.create ~config script in
   Server.run_rounds server script.Server.sc_rounds;
   let r = Server.report server in
   Alcotest.(check (list string)) "stormy quarantined" [ "stormy" ] r.Server.r_quarantined;
@@ -94,6 +94,8 @@ let test_storm_quarantine_is_interp_only () =
   (* the stormy tenant's own (trap-svc) entry is gone — its storm only
      ever cost itself *)
   Alcotest.(check int) "cache holds exactly the victims' methods" 2 r.Server.r_cache_entries
+
+let test_storm_quarantine_is_interp_only () = check_quarantine_is_interp_only storm_config
 
 let test_storm_leaves_victims_bit_identical () =
   let stormy_run = storm_report ~storm:true () in
@@ -142,7 +144,7 @@ let test_shared_cache_cross_tenant_hits () =
    before that deadline, moving the epoch again. The in-flight result
    must be rejected, never installed, and recompiled against the fresh
    epoch. *)
-let test_epoch_race_rejects_stale_install () =
+let epoch_race_script () =
   let req t x = { Server.rq_tenant = t; rq_class = "Svc"; rq_method = "handle"; rq_args = [ x ] } in
   (* five warm calls per tenant per round: invocations cross the
      threshold (20) at round 4 with the branch profile already past the
@@ -167,14 +169,16 @@ let test_epoch_race_rejects_stale_install () =
       benign; (* 14 *)
     ]
   in
-  let script =
-    {
-      Server.sc_apps = [ ("trap-svc", Sessions.trap_app) ];
-      sc_tenants = [ ("a", 0); ("b", 0) ];
-      sc_rounds = rounds;
-    }
-  in
-  let config = { storm_config with Server.sv_compile_rounds = 2 } in
+  {
+    Server.sc_apps = [ ("trap-svc", Sessions.trap_app) ];
+    sc_tenants = [ ("a", 0); ("b", 0) ];
+    sc_rounds = rounds;
+  }
+
+let epoch_race_config = { storm_config with Server.sv_compile_rounds = 2 }
+
+let test_epoch_race_rejects_stale_install () =
+  let script = epoch_race_script () and config = epoch_race_config in
   Trace.uninstall ();
   let trace = Trace.create () in
   Trace.install trace;
@@ -246,8 +250,30 @@ let test_percentile_nearest_rank () =
   Alcotest.(check int) "empty sample" 0 (Server.percentile [] 99)
 
 (* ------------------------------------------------------------------ *)
-(* Threaded mode (real domains; MJVM_TEST_SERVE=real)                  *)
+(* Threaded mode (the domain pool)                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* Runs before the threaded group, which starts the pool. *)
+let test_sync_and_replay_leave_pool_unstarted () =
+  (* OSR compiles the loop synchronously on the first run *)
+  let vm = Vm.create (Pea_bytecode.Link.compile_source Programs.hot_loop) in
+  ignore (Vm.run_main_iterations vm 3);
+  Alcotest.(check bool) "the sync VM compiled" true (Stats.get (Vm.stats vm) Stats.osr_entries > 0);
+  ignore (Server.run ~config:test_config (mixed ()));
+  Alcotest.(check int) "no pool domain spawned" 0 (Pea_support.Pool.spawned ())
+
+let test_create_rejects_no_workers () =
+  List.iter
+    (fun workers ->
+      let config = { test_config with Server.sv_mode = Server.Threaded workers } in
+      match Server.create ~config (mixed ()) with
+      | _ -> Alcotest.failf "Threaded %d accepted" workers
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "Threaded %d: message %S names Server.create" workers msg)
+            true
+            (Test_support.contains msg "Server.create"))
+    [ 0; -1 ]
 
 let threaded_config workers =
   { test_config with Server.sv_mode = Server.Threaded workers }
@@ -283,15 +309,40 @@ let test_threaded_storm_isolation () =
         && a.Server.tr_stats = b.Server.tr_stats))
     [ 0; 1; 2 ]
 
-let () =
+(* The barrier keeps its order under the pool: the same stale result is
+   rejected at the same round, and the whole report matches replay. *)
+let test_threaded_epoch_race () =
+  let replay = Server.run ~config:epoch_race_config (epoch_race_script ()) in
   let threaded =
-    if Test_env.serve_real () then
-      [
-        Alcotest.test_case "threaded report = replay report" `Quick test_threaded_equals_replay;
-        Alcotest.test_case "threaded storm isolation" `Quick test_threaded_storm_isolation;
-      ]
-    else []
+    Server.run
+      ~config:{ epoch_race_config with Server.sv_mode = Server.Threaded 2 }
+      (epoch_race_script ())
   in
+  Alcotest.(check bool) "threaded: the stale result was rejected" true
+    (threaded.Server.r_stats.Stats.s_cache_epoch_rejects >= 1);
+  Alcotest.(check bool) "threaded epoch race: report identical to replay" true (threaded = replay)
+
+let test_threaded_quarantine_is_interp_only () =
+  check_quarantine_is_interp_only { storm_config with Server.sv_mode = Server.Threaded 3 }
+
+(* A threaded run spawns at most one worker per job of a round and
+   reuses them for every later round (no compiles here, so the rounds
+   are the only jobs); they exit after the last round. *)
+let test_threaded_rounds_reuse_pool () =
+  let never_compile =
+    { (threaded_config 2) with Server.sv_jit = { test_jit with Jit.compile_threshold = max_int } }
+  in
+  let script = Sessions.mixed_script ~tenants:3 ~rounds:40 ~requests_per_round:6 ~seed:7 () in
+  let before = Pea_support.Pool.spawned () in
+  let r = Server.run ~config:never_compile script in
+  let spawned = Pea_support.Pool.spawned () - before in
+  Alcotest.(check int) "every request served" (40 * 6) r.Server.r_stats.Stats.s_serve_requests;
+  Alcotest.(check bool)
+    (Printf.sprintf "40 rounds of 2 jobs spawned at most 2 domains (%d)" spawned)
+    true (spawned <= 2);
+  Alcotest.(check bool) "workers exit after the last round" true (Test_support.pool_retired ())
+
+let () =
   Alcotest.run "serving"
     [
       ( "isolation",
@@ -315,5 +366,21 @@ let () =
           Alcotest.test_case "byte-identical trace" `Quick test_replay_deterministic_trace;
           Alcotest.test_case "percentile (nearest rank)" `Quick test_percentile_nearest_rank;
         ] );
-      ("threaded", threaded);
+      ( "pool",
+        [
+          Alcotest.test_case "sync VM and replay server start no domain" `Quick
+            test_sync_and_replay_leave_pool_unstarted;
+          Alcotest.test_case "create rejects fewer than one worker" `Quick
+            test_create_rejects_no_workers;
+        ] );
+      ( "threaded",
+        [
+          Alcotest.test_case "threaded report = replay report" `Quick test_threaded_equals_replay;
+          Alcotest.test_case "threaded storm isolation" `Quick test_threaded_storm_isolation;
+          Alcotest.test_case "threaded epoch race = replay" `Quick test_threaded_epoch_race;
+          Alcotest.test_case "threaded quarantine demotes only the stormy VM" `Quick
+            test_threaded_quarantine_is_interp_only;
+          Alcotest.test_case "threaded rounds reuse pool domains" `Quick
+            test_threaded_rounds_reuse_pool;
+        ] );
     ]

@@ -27,6 +27,17 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* Workers that no hold keeps exit once they find the queue empty, each
+   on its own time: wait (up to 10 s) until only [n] are left. *)
+let pool_shrinks_to n =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Pea_support.Pool.size () > n && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Pea_support.Pool.size () = n
+
+let pool_retired () = pool_shrinks_to 0
+
 let with_tracer ?capacity f =
   let t = Trace.create ?capacity () in
   Trace.install t;
@@ -65,8 +76,8 @@ let cell_name c =
     (if c.c_osr then "on" else "off")
     (Jit.mode_string c.c_mode)
 
-(* Async is deliberately not in the default mode axis: it spawns real
-   domains per cell, and its deterministic counters are already pinned to
+(* Async is deliberately not in the default mode axis: it compiles on
+   real domains, and its deterministic counters are already pinned to
    Replay's bit-for-bit (test_async.ml asserts that equivalence, which is
    what makes Replay a faithful stand-in here). *)
 let default_modes = [ Jit.Sync; Jit.Replay ]

@@ -117,6 +117,152 @@ let test_dot () =
      in
      contains 0)
 
+exception Boom of int
+
+let[@inline never] boom n = raise (Boom n)
+
+let test_pool_reraises () =
+  Printexc.record_backtrace true;
+  let check_boom what p =
+    match Pool.await p with
+    | () -> Alcotest.failf "%s: await returned" what
+    | exception Boom n ->
+        (* read first: any exception raised meanwhile replaces it *)
+        let bt = Printexc.get_backtrace () in
+        Alcotest.(check int) (what ^ ": the job's exception, unchanged") 7 n;
+        (* "Raised at <Module>.boom in file ..." *)
+        let raised_in =
+          match String.split_on_char ' ' bt with "Raised" :: "at" :: fn :: _ -> fn | _ -> ""
+        in
+        Alcotest.(check bool)
+          (what ^ ": backtrace starts at the raise in [boom]")
+          true
+          (String.ends_with ~suffix:".boom" raised_in)
+  in
+  (* the caller does not await until a worker has taken the job *)
+  let taken = Atomic.make false in
+  let on_worker =
+    Pool.submit (fun () ->
+        Atomic.set taken true;
+        boom 7)
+  in
+  while not (Atomic.get taken) do
+    Domain.cpu_relax ()
+  done;
+  check_boom "on a worker" on_worker;
+  check_boom "deferred" (Pool.deferred (fun () -> boom 7))
+
+let test_pool_deferred_runs_on_caller () =
+  Alcotest.(check bool) "earlier workers retired" true (Test_support.pool_retired ());
+  let p = Pool.deferred (fun () -> Domain.self ()) in
+  Alcotest.(check bool) "ran on the awaiting domain" true (Pool.await p = Domain.self ());
+  Alcotest.(check int) "deferred spawns nothing" 0 (Pool.size ())
+
+(* With every worker busy, a queued job still completes at [await]:
+   a new worker or the caller runs it, never a busy one. *)
+let test_pool_await_behind_busy () =
+  let started = Atomic.make 0 and release = Atomic.make false in
+  let blockers =
+    List.init 2 (fun _ ->
+        Pool.submit (fun () ->
+            Atomic.incr started;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done))
+  in
+  while Atomic.get started < 2 do
+    Domain.cpu_relax ()
+  done;
+  let queued = Pool.submit (fun () -> 42) in
+  Alcotest.(check int) "queued job completed while the others spin" 42 (Pool.await queued);
+  Atomic.set release true;
+  List.iter Pool.await blockers
+
+(* [k] jobs that only finish once all [k] run at once. *)
+let barrier_batch k =
+  let arrived = Atomic.make 0 in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let jobs =
+    List.init k (fun _ ->
+        Pool.submit (fun () ->
+            Atomic.incr arrived;
+            while Atomic.get arrived < k && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done;
+            Atomic.get arrived >= k))
+  in
+  List.for_all Fun.id (List.map Pool.await jobs)
+
+let test_pool_spawns_per_job () =
+  Alcotest.(check bool) "earlier workers retired" true (Test_support.pool_retired ());
+  let before = Pool.spawned () in
+  Pool.hold 2 (fun () ->
+      Alcotest.(check bool) "4 jobs ran at once" true (barrier_batch 4);
+      Alcotest.(check int) "one worker per job" 4 (Pool.spawned () - before);
+      Alcotest.(check bool) "the two workers the hold does not keep exit" true
+        (Test_support.pool_shrinks_to 2);
+      (* the parked pair takes every later batch of two *)
+      for _ = 1 to 50 do
+        Alcotest.(check bool) "2 jobs ran at once" true (barrier_batch 2)
+      done;
+      Alcotest.(check int) "later batches spawned nothing" 4 (Pool.spawned () - before);
+      Alcotest.(check int) "the parked pair is still live" 2 (Pool.size ()));
+  Alcotest.(check bool) "parked workers exit once the hold ends" true
+    (Test_support.pool_retired ())
+
+(* More jobs than workers, of uneven length: each promise still yields
+   its own job's result, whatever order the workers finish in. *)
+let test_pool_results_in_order () =
+  let n = 11 in
+  let spin k =
+    let acc = ref 0 in
+    for i = 1 to (n - k) * 2_000 do
+      acc := !acc lxor i
+    done;
+    ignore (Sys.opaque_identity !acc)
+  in
+  let jobs =
+    List.init n (fun k ->
+        Pool.submit (fun () ->
+            spin k;
+            k * 3))
+  in
+  Alcotest.(check (list int)) "each promise holds its own job's result"
+    (List.init n (fun k -> k * 3))
+    (List.map Pool.await jobs)
+
+let test_pool_await_twice () =
+  let runs = Atomic.make 0 in
+  let p =
+    Pool.submit (fun () ->
+        Atomic.incr runs;
+        "done")
+  in
+  Alcotest.(check string) "first await" "done" (Pool.await p);
+  Alcotest.(check string) "second await, same value" "done" (Pool.await p);
+  Alcotest.(check int) "the job ran once" 1 (Atomic.get runs);
+  let failing = Pool.deferred (fun () -> boom 3) in
+  List.iter
+    (fun what ->
+      match Pool.await failing with
+      | () -> Alcotest.failf "%s await returned" what
+      | exception Boom n -> Alcotest.(check int) (what ^ " await re-raises") 3 n)
+    [ "first"; "second" ]
+
+(* Jobs that submit and await jobs of their own finish: a nested await
+   runs its job itself unless a worker has already claimed it. *)
+let test_pool_nested_submit () =
+  let outer = 3 in
+  let jobs =
+    List.init outer (fun i ->
+        Pool.submit (fun () ->
+            let inner = List.init 3 (fun j -> Pool.submit (fun () -> (10 * i) + j)) in
+            List.fold_left ( + ) 0 (List.map Pool.await inner)))
+  in
+  Alcotest.(check (list int)) "every nested batch completed"
+    (List.init outer (fun i -> (30 * i) + 3))
+    (List.map Pool.await jobs)
+
 let () =
   Alcotest.run "support"
     [
@@ -137,4 +283,16 @@ let () =
         ] );
       ("fresh", [ Alcotest.test_case "sequence" `Quick test_fresh ]);
       ("dot", [ Alcotest.test_case "render" `Quick test_dot ]);
+      ( "pool",
+        [
+          Alcotest.test_case "await re-raises the job's exception" `Quick test_pool_reraises;
+          Alcotest.test_case "deferred runs on the caller" `Quick test_pool_deferred_runs_on_caller;
+          Alcotest.test_case "await never waits behind busy workers" `Quick
+            test_pool_await_behind_busy;
+          Alcotest.test_case "one worker per unclaimed job; hold n parks n" `Quick
+            test_pool_spawns_per_job;
+          Alcotest.test_case "results in submission order" `Quick test_pool_results_in_order;
+          Alcotest.test_case "await twice runs the job once" `Quick test_pool_await_twice;
+          Alcotest.test_case "jobs submit and await jobs" `Quick test_pool_nested_submit;
+        ] );
     ]

@@ -145,13 +145,15 @@ let test_env_rejects_unknown () =
   rejects "zero qcheck count" [ ("MJVM_TEST_QCHECK_COUNT", "0") ]
     ~needles:[ "MJVM_TEST_QCHECK_COUNT" ];
   rejects "unread axis" [ ("MJVM_TEST_OSRR", "on") ] ~needles:[ "MJVM_TEST_OSRR"; "on" ];
+  (* retired axes stay rejected: threaded serving always runs now *)
+  rejects "retired serving axis" [ ("MJVM_TEST_SERVE", "real") ]
+    ~needles:[ "MJVM_TEST_SERVE"; "real" ];
   (* recognised values and unrelated variables pass *)
   Test_env.check_env
     [
       ("MJVM_TEST_OPT", "ea");
       ("MJVM_TEST_SUMMARIES", "off");
       ("MJVM_TEST_CHECK_LEVEL", "every-phase");
-      ("MJVM_TEST_SERVE", "real");
       ("MJVM_TEST_QCHECK_COUNT", "500");
       ("PATH", "/bin");
     ]
