@@ -39,7 +39,8 @@ type sample_key = { sk_frames : frame array; sk_bci : int }
 
 type t = {
   interval : int;
-  mutable clock : unit -> int;
+  mutable clock_cells : int array; (* the clock is [clock_cells.(clock_slot)] *)
+  mutable clock_slot : int;
   mutable next_due : int; (* next grid point, in clock cycles *)
   mutable stack : frame array; (* shadow stack; [depth] live entries *)
   mutable depth : int;
@@ -59,7 +60,8 @@ let create ?(interval = default_interval) () =
   if interval <= 0 then invalid_arg "Profile_cpu.create: interval must be positive";
   {
     interval;
-    clock = (fun () -> 0);
+    clock_cells = [| 0 |];
+    clock_slot = 0;
     next_due = interval;
     stack = Array.make 64 no_frame;
     depth = 0;
@@ -70,8 +72,9 @@ let create ?(interval = default_interval) () =
 (* Wiring a clock restarts the sampling grid at [interval]: every VM
    starts its cycle counter at zero, so per-VM profiles stay on the same
    grid no matter how many VMs ran before under the same profiler. *)
-let set_clock t f =
-  t.clock <- f;
+let set_clock t cells slot =
+  t.clock_cells <- cells;
+  t.clock_slot <- slot;
   t.next_due <- t.interval
 
 let interval t = t.interval
@@ -150,17 +153,22 @@ let record t key weight =
   | None -> Hashtbl.replace t.samples key (ref weight));
   t.n_samples <- t.n_samples + weight
 
-(* [poll bci] — the safepoint hook. Call only when [enabled ()]. *)
-let poll bci =
+let take t now bci =
+  let weight = sample t now in
+  let key = { sk_frames = Array.sub t.stack 0 t.depth; sk_bci = bucket bci } in
+  record t key weight
+
+(* [poll bci] — the safepoint hook. Call only when [enabled ()]. Safepoints
+   run at every block entry of compiled code, so the common case (no
+   grid point crossed) is one cell read and a compare, inlined at the
+   call site; reading the counter cell directly rather than through a
+   clock closure saves an indirect call per safepoint. *)
+let[@inline] poll bci =
   match !current with
   | None -> ()
   | Some t ->
-      let now = t.clock () in
-      if now >= t.next_due then begin
-        let weight = sample t now in
-        let key = { sk_frames = Array.sub t.stack 0 t.depth; sk_bci = bucket bci } in
-        record t key weight
-      end
+      let now = t.clock_cells.(t.clock_slot) in
+      if now >= t.next_due then take t now bci
 
 (* ------------------------------------------------------------------ *)
 (* Readout                                                             *)

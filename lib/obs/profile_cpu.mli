@@ -30,9 +30,10 @@ val bucket : int -> int
 
 val create : ?interval:int -> unit -> t
 
-val set_clock : t -> (unit -> int) -> unit
-(** Wire the deterministic clock (the VM's cycle counter) and restart
-    the sampling grid. The VM calls this at creation time. *)
+val set_clock : t -> int array -> int -> unit
+(** [set_clock t cells slot] wires the deterministic clock, the counter
+    cell [cells.(slot)] (the VM's cycle counter, see [Stats.cells]), and
+    restarts the sampling grid. The VM calls this at creation time. *)
 
 val interval : t -> int
 

@@ -1,6 +1,5 @@
 (* The closure execution tier, the VM's only compiled executor: a
-   one-time translation of an optimized IR graph into a tree of OCaml
-   closures.
+   one-time translation of an optimized IR graph into OCaml closures.
 
    A graph walker ({!Ir_exec}) is itself an interpreter — every invocation
    re-matches on every [Node.op], routes phis on block entry and rebuilds
@@ -8,17 +7,26 @@
    the JIT literature (it is the move Graal makes when it hands IR to a
    backend): all of that work happens once, at closure-compile time.
 
-     - Every instruction becomes a pre-bound [frame -> unit] closure with
-       its operands, field offsets, class pointers and cost charges
-       resolved at compile time; the per-op [Node.op] match disappears.
-     - Every block fuses its instruction closures into one chain, followed
-       by a terminator closure; control transfers are (tail) calls through
-       a per-graph closure table, so loops run in constant stack space.
-     - Phi routing is precomputed per [(pred, block)] edge into parallel
-       assignment index arrays — no per-entry predecessor search, no list
-       allocation. The scratch buffers of the parallel move are shared
-       across invocations, which is safe because the move performs no
-       calls (no reentrancy) and the VM is single-threaded.
+     - Every instruction that does work becomes a pre-bound
+       [frame -> unit] step with its operands, field offsets and class
+       pointers resolved at compile time; the per-op [Node.op] match
+       disappears. Constants and parameters emit no step: a [Const] is an
+       operand fixed at translation time, which the operand readers, edge
+       phi moves and the [Deoptimize] lookup return without touching the
+       frame, and a parameter is bound at entry. Int/Int arithmetic and
+       comparisons specialise on the operand shapes (register, register),
+       (register, constant) and (constant, register).
+     - A block runs its steps as one flat sequence, then a terminator
+       closure; control transfers are (tail) calls through a per-graph
+       closure table, so loops run in constant stack space. An [If] whose
+       condition is the block's last typed [Cmp] evaluates the compare in
+       the terminator (still writing the compare's slot) and branches on
+       the result: a compare-and-branch.
+     - Phi routing is precomputed per [(pred, block)] edge. An edge that
+       moves one or two Int/Bool phis and no Ref phi moves them directly.
+       Any other edge runs a parallel move through scratch buffers shared
+       across invocations, which is safe because the move makes no calls
+       (no reentrancy) and each VM runs on one domain at a time.
      - Virtual [Invoke] sites get a monomorphic inline cache seeded from
        the interpreter's receiver profile: the fast path is one class-id
        check against a pre-resolved target; a miss falls back to
@@ -35,24 +43,36 @@
    Int or Bool when all its inputs agree (an optimistic fixpoint); every
    other node is Ref: loads and invoke results (boxed in the heap
    already), [null] and [Cundef] (so deopt still rebuilds [Vnull]), and
-   OSR parameters (whose locals may still be [Vnull]). Each node owns
-   exactly one slot in the file of its kind, so a frame holds no more
-   slots than the graph has nodes. Operand readers are chosen at
-   translation time: Int/Int arithmetic and comparisons run on [iv]
-   directly; a Ref read as an int or boolean goes through
-   [as_int]/[as_bool]; a Bool read as an int (only a corrupted graph has
-   one) boxes first and traps with {!Ir_exec}'s text. Values are boxed
-   only where they leave the frame: field, array and static stores,
-   invoke arguments, [Return], [Print], allocation field values, Ref phis
-   fed by an Int or Bool input, and the [Deoptimize] lookup closure.
-   Booleans box to the two static [Vbool] constants.
+   OSR parameters (whose locals may still be [Vnull]). Each node other
+   than a constant owns exactly one slot in the file of its kind, so a
+   frame holds fewer slots than the graph has nodes. Operand readers are
+   chosen at translation time: Int/Int arithmetic and comparisons run on
+   [iv] and constants directly; a Ref read as an int or boolean goes
+   through [as_int]/[as_bool]; a Bool read as an int (only a corrupted
+   graph has one) boxes first and traps with {!Ir_exec}'s text. Values
+   are boxed only where they leave the frame: field, array and static
+   stores, invoke arguments, [Return], [Print], allocation field values,
+   Ref phis fed by an Int or Bool input, and the [Deoptimize] lookup
+   closure. Booleans box to the two static [Vbool] constants.
 
-   Cost accounting is bit-for-bit identical to the {!Ir_exec} reference:
-   each closure charges exactly the cycles and [compiled_ops] it charges
-   for the same operation, in the same order relative to traps. The
-   charges bump the live counter cells ({!Stats.cells}) resolved once per
-   translation, with no call. Inline caches, typed frames and pooling are
-   wall-clock optimizations only and add no model cycles.
+   Cost accounting is bit-for-bit identical to the {!Ir_exec} reference,
+   but resolved per segment at translation time instead of per operation.
+   A block splits into segments: maximal runs of pure operations, each
+   ended by at most one impure one. A pure operation cannot trap, call,
+   allocate, touch the heap, the statics or a monitor, or record a
+   profile or trace event: a constant, a parameter, Int/Int [Add], [Sub],
+   [Mul], [Neg] and [Cmp], [Div] and [Rem] by a nonzero constant, [Not]
+   of a Bool, [RefCmp], [Instance_of] and [Has_class]. Each segment
+   charges its summed [compiled_ops] and cycles once, at its start, into
+   the live counter cells ({!Stats.cells}) resolved once per
+   translation; an [If]'s branch cycles fold into the block's last
+   segment. {!Ir_exec} charges each operation before its body, and only a
+   segment's last operation can trap or let anything read the counters
+   (a call, an allocation's profile record, a trace event; the profiler
+   polls at block entry and a [Deopt] ends the block), so every counter
+   value seen there is the one the reference shows. Inline caches, typed
+   frames and pooling are wall-clock optimizations only and add no model
+   cycles.
 
    Frame lifetime rules: a frame is acquired from the pool on entry and
    released on normal return and on an MJ exception unwinding through
@@ -100,15 +120,11 @@ let ops_slot = Stats.slot Stats.compiled_ops
 
 let cycles_slot = Stats.slot Stats.cycles
 
-(* one compiled op of [cy] cycles, charged before the operation body
-   exactly like {!Ir_exec} charges before trapping *)
-let[@inline] bump (cells : int array) cy =
-  cells.(ops_slot) <- cells.(ops_slot) + 1;
+(* one segment's [ops] compiled ops and [cy] cycles, charged at its
+   start *)
+let[@inline] charge (cells : int array) ops cy =
+  cells.(ops_slot) <- cells.(ops_slot) + ops;
   cells.(cycles_slot) <- cells.(cycles_slot) + cy
-
-(* a branch: cycles only, no compiled op *)
-let[@inline] charge_branch (cells : int array) =
-  cells.(cycles_slot) <- cells.(cycles_slot) + Cost.compiled_op
 
 (* ------------------------------------------------------------------ *)
 (* Kinds and slots                                                     *)
@@ -188,6 +204,147 @@ let infer_kinds (g : Graph.t) : kind array =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* An Int operand as typed code reads it: a slot of the int file, a
+   constant fixed at translation, or anything else (read through
+   [read_i], which may trap). *)
+type int_operand = Reg of int | Imm of int | Boxed
+
+(* a typed compare as [x < y] or [x = y], with a negation flag *)
+type cmp_op = Lt | Eq
+
+(* [Cmp (c, a, b)] on two typed operands: [Cgt] and [Cle] swap them,
+   [Cge], [Cle] and [Cne] negate (flag 1), and [Eq] keeps a constant on
+   the right *)
+let typed_cmp c a b =
+  match (a, b) with
+  | Boxed, _ | _, Boxed -> None
+  | x, y ->
+      let eq neg = match x with Imm _ -> (Eq, y, x, neg) | _ -> (Eq, x, y, neg) in
+      Some
+        (match c with
+        | Classfile.Clt -> (Lt, x, y, 0)
+        | Classfile.Cgt -> (Lt, y, x, 0)
+        | Classfile.Cge -> (Lt, x, y, 1)
+        | Classfile.Cle -> (Lt, y, x, 1)
+        | Classfile.Ceq -> eq 0
+        | Classfile.Cne -> eq 1)
+
+(* the value an Int or Bool phi move reads from its source *)
+let[@inline] int_value (iv : int array) = function
+  | Reg s -> iv.(s)
+  | Imm k -> k
+  | Boxed -> assert false
+
+let const_cmp op x y = match op with Lt -> x < y | Eq -> x = y
+
+(* the compare's step: writes 0/1 into slot [d] *)
+let cmp_step d (op, x, y, neg) : frame -> unit =
+  match (op, x, y) with
+  | Lt, Reg x, Reg y ->
+      fun fr ->
+        let iv = fr.iv in
+        iv.(d) <- Bool.to_int (iv.(x) < iv.(y)) lxor neg
+  | Lt, Reg x, Imm k ->
+      fun fr ->
+        let iv = fr.iv in
+        iv.(d) <- Bool.to_int (iv.(x) < k) lxor neg
+  | Lt, Imm k, Reg y ->
+      fun fr ->
+        let iv = fr.iv in
+        iv.(d) <- Bool.to_int (k < iv.(y)) lxor neg
+  | Eq, Reg x, Reg y ->
+      fun fr ->
+        let iv = fr.iv in
+        iv.(d) <- Bool.to_int (iv.(x) = iv.(y)) lxor neg
+  | Eq, Reg x, Imm k ->
+      fun fr ->
+        let iv = fr.iv in
+        iv.(d) <- Bool.to_int (iv.(x) = k) lxor neg
+  | op, Imm x, Imm y ->
+      let r = Bool.to_int (const_cmp op x y) lxor neg in
+      fun fr -> fr.iv.(d) <- r
+  | _ -> assert false
+
+(* the compare-and-branch: the compare's step, then a jump on its
+   result (a negated compare jumps on the plain one, edges swapped) *)
+let cmp_branch d (op, x, y, neg) et ef : frame -> Value.value option =
+  let et, ef = if neg = 1 then (ef, et) else (et, ef) in
+  match (op, x, y) with
+  | Lt, Reg x, Reg y ->
+      fun fr ->
+        let iv = fr.iv in
+        let r = iv.(x) < iv.(y) in
+        iv.(d) <- Bool.to_int r lxor neg;
+        if r then et fr else ef fr
+  | Lt, Reg x, Imm k ->
+      fun fr ->
+        let iv = fr.iv in
+        let r = iv.(x) < k in
+        iv.(d) <- Bool.to_int r lxor neg;
+        if r then et fr else ef fr
+  | Lt, Imm k, Reg y ->
+      fun fr ->
+        let iv = fr.iv in
+        let r = k < iv.(y) in
+        iv.(d) <- Bool.to_int r lxor neg;
+        if r then et fr else ef fr
+  | Eq, Reg x, Reg y ->
+      fun fr ->
+        let iv = fr.iv in
+        let r = iv.(x) = iv.(y) in
+        iv.(d) <- Bool.to_int r lxor neg;
+        if r then et fr else ef fr
+  | Eq, Reg x, Imm k ->
+      fun fr ->
+        let iv = fr.iv in
+        let r = iv.(x) = k in
+        iv.(d) <- Bool.to_int r lxor neg;
+        if r then et fr else ef fr
+  | op, Imm x, Imm y ->
+      let r = const_cmp op x y in
+      let v = Bool.to_int r lxor neg and target = if r then et else ef in
+      fun fr ->
+        fr.iv.(d) <- v;
+        target fr
+  | _ -> assert false
+
+let[@inline] enter cells bci ops cy =
+  if Pea_obs.Profile_cpu.enabled () then Pea_obs.Profile_cpu.poll bci;
+  charge cells ops cy
+
+(* A block: the profiler safepoint at entry (edge phi moves charge no
+   cycles, so the poll reads the clock value at block entry), the first
+   segment's charge, the steps in order, then the terminator. *)
+let block_closure cells ~bci ~ops ~cy (steps : (frame -> unit) array) term :
+    frame -> Value.value option =
+  match steps with
+  | [||] when ops = 0 && cy = 0 ->
+      fun fr ->
+        if Pea_obs.Profile_cpu.enabled () then Pea_obs.Profile_cpu.poll bci;
+        term fr
+  | [||] ->
+      fun fr ->
+        enter cells bci ops cy;
+        term fr
+  | [| s |] ->
+      fun fr ->
+        enter cells bci ops cy;
+        s fr;
+        term fr
+  | [| s1; s2 |] ->
+      fun fr ->
+        enter cells bci ops cy;
+        s1 fr;
+        s2 fr;
+        term fr
+  | _ ->
+      fun fr ->
+        enter cells bci ops cy;
+        for i = 0 to Array.length steps - 1 do
+          (Array.unsafe_get steps i) fr
+        done;
+        term fr
+
 let compile (env : Interp.env) (g : Graph.t) : code =
   let meth = Classfile.qualified_name g.Graph.g_method in
   let stats = env.Interp.stats in
@@ -198,46 +355,98 @@ let compile (env : Interp.env) (g : Graph.t) : code =
   let on_invoke = env.Interp.on_invoke in
   let on_print = env.Interp.on_print in
   let kinds = infer_kinds g in
-  (* one slot per node, numbered separately in each file *)
+  (* constants are operands: each is read as its value, fixed here *)
+  let consts = Array.make (Array.length kinds) None in
+  Graph.iter_blocks
+    (fun b ->
+      Pea_support.Dyn_array.iter
+        (fun (n : Node.t) ->
+          match n.Node.op with
+          | Node.Const (Node.Cbool b) -> consts.(n.Node.id) <- Some (box_bool b)
+          | Node.Const c -> consts.(n.Node.id) <- Some (Ir_exec.const_value c)
+          | _ -> ())
+        b.Graph.instrs)
+    g;
+  (* one slot per non-constant node, numbered separately in each file *)
   let n_int = ref 0 and n_ref = ref 0 in
   let slots =
-    Array.map
-      (fun k ->
-        let counter = if k = K_ref then n_ref else n_int in
-        let s = !counter in
-        incr counter;
-        s)
+    Array.mapi
+      (fun id k ->
+        if consts.(id) <> None then -1
+        else begin
+          let counter = if k = K_ref then n_ref else n_int in
+          let s = !counter in
+          incr counter;
+          s
+        end)
       kinds
   in
   let slot id = slots.(id) in
   (* operand readers, chosen per node kind *)
   let read_v id : frame -> Value.value =
-    let s = slot id in
-    match kinds.(id) with
-    | K_ref -> fun fr -> fr.rv.(s)
-    | K_int -> fun fr -> Vint fr.iv.(s)
-    | K_bool -> fun fr -> box_bool (fr.iv.(s) <> 0)
+    match consts.(id) with
+    | Some v -> fun _ -> v
+    | None -> (
+        let s = slot id in
+        match kinds.(id) with
+        | K_ref -> fun fr -> fr.rv.(s)
+        | K_int -> fun fr -> Vint fr.iv.(s)
+        | K_bool -> fun fr -> box_bool (fr.iv.(s) <> 0))
   in
   let read_i id : frame -> int =
-    let s = slot id in
-    match kinds.(id) with
-    | K_int -> fun fr -> fr.iv.(s)
-    | K_ref -> fun fr -> as_int fr.rv.(s)
-    | K_bool -> fun fr -> as_int (box_bool (fr.iv.(s) <> 0))
+    match consts.(id) with
+    | Some (Vint k) -> fun _ -> k
+    | Some v -> fun _ -> as_int v
+    | None -> (
+        let s = slot id in
+        match kinds.(id) with
+        | K_int -> fun fr -> fr.iv.(s)
+        | K_ref -> fun fr -> as_int fr.rv.(s)
+        | K_bool -> fun fr -> as_int (box_bool (fr.iv.(s) <> 0)))
   in
   let read_b id : frame -> bool =
-    let s = slot id in
-    match kinds.(id) with
-    | K_bool -> fun fr -> fr.iv.(s) <> 0
-    | K_ref -> fun fr -> as_bool fr.rv.(s)
-    | K_int -> fun fr -> as_bool (Vint fr.iv.(s))
+    match consts.(id) with
+    | Some (Vbool b) -> fun _ -> b
+    | Some v -> fun _ -> as_bool v
+    | None -> (
+        let s = slot id in
+        match kinds.(id) with
+        | K_bool -> fun fr -> fr.iv.(s) <> 0
+        | K_ref -> fun fr -> as_bool fr.rv.(s)
+        | K_int -> fun fr -> as_bool (Vint fr.iv.(s)))
   in
-  let int_slot id = if kinds.(id) = K_int then Some (slot id) else None in
+  let int_operand id =
+    match consts.(id) with
+    | Some (Vint k) -> Imm k
+    | Some _ -> Boxed
+    | None -> if kinds.(id) = K_int then Reg (slot id) else Boxed
+  in
+  let typed id = int_operand id <> Boxed in
+  let pure (n : Node.t) =
+    match n.Node.op with
+    | Node.Const _ | Node.Param _ | Node.RefCmp _ | Node.Instance_of _ | Node.Has_class _ -> true
+    | Node.Arith ((Node.Add | Node.Sub | Node.Mul), a, b) | Node.Cmp (_, a, b) ->
+        typed a && typed b
+    | Node.Arith ((Node.Div | Node.Rem), a, b) -> (
+        typed a && match int_operand b with Imm k -> k <> 0 | _ -> false)
+    | Node.Neg a -> typed a
+    | Node.Not a -> kinds.(a) = K_bool
+    | _ -> false
+  in
   (* the closure table control transfers jump through; filled below *)
   let bodies : (frame -> Value.value option) array =
     Array.make (Graph.n_blocks g) (fun _ -> trap "closure tier: jump into an uncompiled block")
   in
   let base = Cost.compiled_op in
+  (* what {!Ir_exec} charges for one operation *)
+  let cost (n : Node.t) =
+    match n.Node.op with
+    | Node.Load_field _ | Node.Store_field _ -> base + Cost.field_access
+    | Node.Load_static _ | Node.Store_static _ -> base + Cost.static_access
+    | Node.Array_load _ | Node.Array_store _ -> base + Cost.array_access
+    | Node.Invoke _ -> base + Cost.invoke
+    | _ -> base
+  in
   (* bytecode-site attribution, pre-resolved like every other operand so
      the profiler checks below cost one bool load when profiling is off *)
   let sites, block_bcis = Ir_exec.site_tables g in
@@ -250,42 +459,53 @@ let compile (env : Interp.env) (g : Graph.t) : code =
       dst.(i) <- readers.(i) fr
     done
   in
-  let compile_instr (n : Node.t) : frame -> unit =
+  (* the step of an instruction; [None] for constants and parameters *)
+  let compile_instr (n : Node.t) : (frame -> unit) option =
     let d = slot n.Node.id in
     let set_bool fr b = fr.iv.(d) <- Bool.to_int b in
+    let step (f : frame -> unit) = Some f in
     match n.Node.op with
-    | Node.Const (Node.Cint k) ->
-        fun fr ->
-          bump cells base;
-          fr.iv.(d) <- k
-    | Node.Const (Node.Cbool b) ->
-        let k = Bool.to_int b in
-        fun fr ->
-          bump cells base;
-          fr.iv.(d) <- k
-    | Node.Const (Node.Cnull | Node.Cundef) ->
-        fun fr ->
-          bump cells base;
-          fr.rv.(d) <- Vnull
-    | Node.Param _ -> fun _ -> bump cells base (* bound at entry *)
+    | Node.Const _ | Node.Param _ -> None
     | Node.Phi _ -> assert false
     | Node.Arith (k, a, b) -> (
-        match (k, int_slot a, int_slot b) with
-        | Node.Add, Some a, Some b ->
-            fun fr ->
-              bump cells base;
+        let add_imm a k =
+          step (fun fr ->
               let iv = fr.iv in
-              iv.(d) <- iv.(a) + iv.(b)
-        | Node.Sub, Some a, Some b ->
-            fun fr ->
-              bump cells base;
+              iv.(d) <- iv.(a) + k)
+        in
+        let mul_imm a k =
+          step (fun fr ->
               let iv = fr.iv in
-              iv.(d) <- iv.(a) - iv.(b)
-        | Node.Mul, Some a, Some b ->
-            fun fr ->
-              bump cells base;
-              let iv = fr.iv in
-              iv.(d) <- iv.(a) * iv.(b)
+              iv.(d) <- iv.(a) * k)
+        in
+        match (k, int_operand a, int_operand b) with
+        | Node.Add, Reg a, Reg b ->
+            step (fun fr ->
+                let iv = fr.iv in
+                iv.(d) <- iv.(a) + iv.(b))
+        | Node.Add, Reg a, Imm k | Node.Add, Imm k, Reg a -> add_imm a k
+        | Node.Sub, Reg a, Reg b ->
+            step (fun fr ->
+                let iv = fr.iv in
+                iv.(d) <- iv.(a) - iv.(b))
+        | Node.Sub, Reg a, Imm k -> add_imm a (-k)
+        | Node.Sub, Imm k, Reg b ->
+            step (fun fr ->
+                let iv = fr.iv in
+                iv.(d) <- k - iv.(b))
+        | Node.Mul, Reg a, Reg b ->
+            step (fun fr ->
+                let iv = fr.iv in
+                iv.(d) <- iv.(a) * iv.(b))
+        | Node.Mul, Reg a, Imm k | Node.Mul, Imm k, Reg a -> mul_imm a k
+        | Node.Div, Reg a, Imm k when k <> 0 ->
+            step (fun fr ->
+                let iv = fr.iv in
+                iv.(d) <- iv.(a) / k)
+        | Node.Rem, Reg a, Imm k when k <> 0 ->
+            step (fun fr ->
+                let iv = fr.iv in
+                iv.(d) <- iv.(a) mod k)
         | _ ->
             let f =
               match k with
@@ -296,89 +516,74 @@ let compile (env : Interp.env) (g : Graph.t) : code =
               | Node.Rem -> fun x y -> if y = 0 then trap "division by zero" else x mod y
             in
             let ra = read_i a and rb = read_i b in
-            fun fr ->
-              bump cells base;
-              let x = ra fr in
-              let y = rb fr in
-              fr.iv.(d) <- f x y)
+            step (fun fr ->
+                let x = ra fr in
+                let y = rb fr in
+                fr.iv.(d) <- f x y))
     | Node.Neg a ->
         let ra = read_i a in
-        fun fr ->
-          bump cells base;
-          fr.iv.(d) <- -ra fr
+        step (fun fr -> fr.iv.(d) <- -ra fr)
     | Node.Not a ->
         let ra = read_b a in
-        fun fr ->
-          bump cells base;
-          set_bool fr (not (ra fr))
+        step (fun fr -> set_bool fr (not (ra fr)))
     | Node.Cmp (c, a, b) -> (
-        let f : int -> int -> bool =
-          match c with
-          | Classfile.Clt -> ( < )
-          | Classfile.Cle -> ( <= )
-          | Classfile.Cgt -> ( > )
-          | Classfile.Cge -> ( >= )
-          | Classfile.Ceq -> ( = )
-          | Classfile.Cne -> ( <> )
-        in
-        match (int_slot a, int_slot b) with
-        | Some a, Some b ->
-            fun fr ->
-              bump cells base;
-              let iv = fr.iv in
-              iv.(d) <- Bool.to_int (f iv.(a) iv.(b))
-        | _ ->
+        match typed_cmp c (int_operand a) (int_operand b) with
+        | Some t -> step (cmp_step d t)
+        | None ->
+            let f : int -> int -> bool =
+              match c with
+              | Classfile.Clt -> ( < )
+              | Classfile.Cle -> ( <= )
+              | Classfile.Cgt -> ( > )
+              | Classfile.Cge -> ( >= )
+              | Classfile.Ceq -> ( = )
+              | Classfile.Cne -> ( <> )
+            in
             let ra = read_i a and rb = read_i b in
-            fun fr ->
-              bump cells base;
-              let x = ra fr in
-              let y = rb fr in
-              set_bool fr (f x y))
+            step (fun fr ->
+                let x = ra fr in
+                let y = rb fr in
+                set_bool fr (f x y)))
     | Node.RefCmp (c, a, b) ->
         let ra = read_v a and rb = read_v b in
         let ne = c = Classfile.ANe in
-        fun fr ->
-          bump cells base;
-          set_bool fr (equal_value (ra fr) (rb fr) <> ne)
+        step (fun fr -> set_bool fr (equal_value (ra fr) (rb fr) <> ne))
     | Node.New cls ->
         let mid, bci = sites.(n.Node.id) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
-        fun fr ->
-          bump cells base;
-          if Pea_obs.Profile_heap.enabled () then
-            Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name
-              ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
-          fr.rv.(d) <- Vobj (Heap.alloc_object heap cls)
+        step (fun fr ->
+            if Pea_obs.Profile_heap.enabled () then
+              Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name
+                ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
+            fr.rv.(d) <- Vobj (Heap.alloc_object heap cls))
     | Node.Alloc (cls, field_values) ->
         let mid, bci = sites.(n.Node.id) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
         let fields = Array.map read_v field_values in
-        fun fr ->
-          bump cells base;
-          if Pea_obs.Profile_heap.enabled () then
-            Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name
-              ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
-          let o = Heap.alloc_object heap cls in
-          fill o.o_fields fields fr;
-          fr.rv.(d) <- Vobj o
+        step (fun fr ->
+            if Pea_obs.Profile_heap.enabled () then
+              Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name
+                ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
+            let o = Heap.alloc_object heap cls in
+            fill o.o_fields fields fr;
+            fr.rv.(d) <- Vobj o)
     | Node.Alloc_array (elem, elem_values) ->
         let len = Array.length elem_values in
         let mid, bci = sites.(n.Node.id) in
         let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
         let bytes = Value.array_bytes elem len in
         let elems = Array.map read_v elem_values in
-        fun fr -> (
-          bump cells base;
-          match Heap.alloc_array heap elem len with
-          | arr ->
-              if Pea_obs.Profile_heap.enabled () then
-                Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name
-                  ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
-              fill arr.a_elems elems fr;
-              fr.rv.(d) <- Varr arr
-          | exception Heap.Negative_array_size k -> trap "negative array size %d" k)
+        step (fun fr ->
+            match Heap.alloc_array heap elem len with
+            | arr ->
+                if Pea_obs.Profile_heap.enabled () then
+                  Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name
+                    ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
+                fill arr.a_elems elems fr;
+                fr.rv.(d) <- Varr arr
+            | exception Heap.Negative_array_size k -> trap "negative array size %d" k)
     | Node.Stack_alloc (k, cls, field_values) ->
         let mid, bci = sites.(n.Node.id) in
         let cls_name = cls.Classfile.cls_name in
@@ -389,13 +594,12 @@ let compile (env : Interp.env) (g : Graph.t) : code =
           | Node.Sk_scratch -> (Pea_obs.Profile_heap.K_scratch, Heap.alloc_object_scratch)
           | Node.Sk_frame -> (Pea_obs.Profile_heap.K_stack, Heap.alloc_object_stack)
         in
-        fun fr ->
-          bump cells base;
-          if Pea_obs.Profile_heap.enabled () then
-            Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name ~kind ~bytes;
-          let o = alloc heap cls in
-          fill o.o_fields fields fr;
-          fr.rv.(d) <- Vobj o
+        step (fun fr ->
+            if Pea_obs.Profile_heap.enabled () then
+              Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name ~kind ~bytes;
+            let o = alloc heap cls in
+            fill o.o_fields fields fr;
+            fr.rv.(d) <- Vobj o)
     | Node.Stack_alloc_array (k, elem, elem_values) ->
         let len = Array.length elem_values in
         let mid, bci = sites.(n.Node.id) in
@@ -407,134 +611,112 @@ let compile (env : Interp.env) (g : Graph.t) : code =
           | Node.Sk_scratch -> (Pea_obs.Profile_heap.K_scratch, Heap.alloc_array_scratch)
           | Node.Sk_frame -> (Pea_obs.Profile_heap.K_stack, Heap.alloc_array_stack)
         in
-        fun fr ->
-          bump cells base;
-          if Pea_obs.Profile_heap.enabled () then
-            Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name ~kind ~bytes;
-          let arr = alloc heap elem len in
-          fill arr.a_elems elems fr;
-          fr.rv.(d) <- Varr arr
+        step (fun fr ->
+            if Pea_obs.Profile_heap.enabled () then
+              Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name ~kind ~bytes;
+            let arr = alloc heap elem len in
+            fill arr.a_elems elems fr;
+            fr.rv.(d) <- Varr arr)
     | Node.New_array (elem, len) ->
         let mid, bci = sites.(n.Node.id) in
         let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
         let rlen = read_i len in
-        fun fr -> (
-          bump cells base;
-          match Heap.alloc_array heap elem (rlen fr) with
-          | arr ->
-              if Pea_obs.Profile_heap.enabled () then
-                Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name
-                  ~kind:Pea_obs.Profile_heap.K_alloc
-                  ~bytes:(Value.array_bytes elem (Array.length arr.a_elems));
-              fr.rv.(d) <- Varr arr
-          | exception Heap.Negative_array_size k -> trap "negative array size %d" k)
+        step (fun fr ->
+            match Heap.alloc_array heap elem (rlen fr) with
+            | arr ->
+                if Pea_obs.Profile_heap.enabled () then
+                  Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name
+                    ~kind:Pea_obs.Profile_heap.K_alloc
+                    ~bytes:(Value.array_bytes elem (Array.length arr.a_elems));
+                fr.rv.(d) <- Varr arr
+            | exception Heap.Negative_array_size k -> trap "negative array size %d" k)
     | Node.Load_field (o, f) ->
         let off = f.Classfile.fld_offset in
         let name = f.Classfile.fld_name in
-        let cy = base + Cost.field_access in
         let ro = read_v o in
-        fun fr -> (
-          bump cells cy;
-          match ro fr with
-          | Vobj obj -> fr.rv.(d) <- obj.o_fields.(off)
-          | Vnull -> trap "null dereference reading %s" name
-          | _ -> trap "field load on a non-object")
+        step (fun fr ->
+            match ro fr with
+            | Vobj obj -> fr.rv.(d) <- obj.o_fields.(off)
+            | Vnull -> trap "null dereference reading %s" name
+            | _ -> trap "field load on a non-object")
     | Node.Store_field (o, f, x) ->
         let off = f.Classfile.fld_offset in
         let name = f.Classfile.fld_name in
-        let cy = base + Cost.field_access in
         let ro = read_v o and rx = read_v x in
-        fun fr -> (
-          bump cells cy;
-          match ro fr with
-          | Vobj obj -> obj.o_fields.(off) <- rx fr
-          | Vnull -> trap "null dereference writing %s" name
-          | _ -> trap "field store on a non-object")
+        step (fun fr ->
+            match ro fr with
+            | Vobj obj -> obj.o_fields.(off) <- rx fr
+            | Vnull -> trap "null dereference writing %s" name
+            | _ -> trap "field store on a non-object")
     | Node.Load_static sf ->
         let idx = sf.Classfile.sf_index in
-        let cy = base + Cost.static_access in
-        fun fr ->
-          bump cells cy;
-          fr.rv.(d) <- globals.(idx)
+        step (fun fr -> fr.rv.(d) <- globals.(idx))
     | Node.Store_static (sf, x) ->
         let idx = sf.Classfile.sf_index in
-        let cy = base + Cost.static_access in
         let rx = read_v x in
-        fun fr ->
-          bump cells cy;
-          globals.(idx) <- rx fr
+        step (fun fr -> globals.(idx) <- rx fr)
     | Node.Array_load (a, i) ->
-        let cy = base + Cost.array_access in
         let ra = read_v a and ri = read_i i in
-        fun fr -> (
-          bump cells cy;
-          match ra fr with
-          | Varr arr ->
-              let idx = ri fr in
-              if idx < 0 || idx >= Array.length arr.a_elems then
-                trap "array index %d out of bounds" idx;
-              fr.rv.(d) <- arr.a_elems.(idx)
-          | Vnull -> trap "null dereference at array load"
-          | _ -> trap "array load on a non-array")
+        step (fun fr ->
+            match ra fr with
+            | Varr arr ->
+                let idx = ri fr in
+                if idx < 0 || idx >= Array.length arr.a_elems then
+                  trap "array index %d out of bounds" idx;
+                fr.rv.(d) <- arr.a_elems.(idx)
+            | Vnull -> trap "null dereference at array load"
+            | _ -> trap "array load on a non-array")
     | Node.Array_store (a, i, x) ->
-        let cy = base + Cost.array_access in
         let ra = read_v a and ri = read_i i and rx = read_v x in
-        fun fr -> (
-          bump cells cy;
-          match ra fr with
-          | Varr arr ->
-              let idx = ri fr in
-              if idx < 0 || idx >= Array.length arr.a_elems then
-                trap "array index %d out of bounds" idx;
-              arr.a_elems.(idx) <- rx fr
-          | Vnull -> trap "null dereference at array store"
-          | _ -> trap "array store on a non-array")
+        step (fun fr ->
+            match ra fr with
+            | Varr arr ->
+                let idx = ri fr in
+                if idx < 0 || idx >= Array.length arr.a_elems then
+                  trap "array index %d out of bounds" idx;
+                arr.a_elems.(idx) <- rx fr
+            | Vnull -> trap "null dereference at array store"
+            | _ -> trap "array store on a non-array")
     | Node.Array_length a ->
         let ra = read_v a in
-        fun fr -> (
-          bump cells base;
-          match ra fr with
-          | Varr arr -> fr.iv.(d) <- Array.length arr.a_elems
-          | Vnull -> trap "null dereference at arraylength"
-          | _ -> trap "arraylength on a non-array")
+        step (fun fr ->
+            match ra fr with
+            | Varr arr -> fr.iv.(d) <- Array.length arr.a_elems
+            | Vnull -> trap "null dereference at arraylength"
+            | _ -> trap "arraylength on a non-array")
     | Node.Monitor_enter a ->
         let ra = read_v a in
-        fun fr -> (
-          bump cells base;
-          match ra fr with
-          | Vnull -> trap "monitorenter on null"
-          | x -> (
-              match Heap.monitor_enter heap x with
-              | () -> ()
-              | exception Heap.Unbalanced_monitor msg -> trap "%s" msg))
+        step (fun fr ->
+            match ra fr with
+            | Vnull -> trap "monitorenter on null"
+            | x -> (
+                match Heap.monitor_enter heap x with
+                | () -> ()
+                | exception Heap.Unbalanced_monitor msg -> trap "%s" msg))
     | Node.Monitor_exit a ->
         let ra = read_v a in
-        fun fr -> (
-          bump cells base;
-          match ra fr with
-          | Vnull -> trap "monitorexit on null"
-          | x -> (
-              match Heap.monitor_exit heap x with
-              | () -> ()
-              | exception Heap.Unbalanced_monitor msg -> trap "%s" msg))
+        step (fun fr ->
+            match ra fr with
+            | Vnull -> trap "monitorexit on null"
+            | x -> (
+                match Heap.monitor_exit heap x with
+                | () -> ()
+                | exception Heap.Unbalanced_monitor msg -> trap "%s" msg))
     | Node.Invoke (kind, callee, arg_ids) -> (
-        let cy = base + Cost.invoke in
         let args = Array.map read_v arg_ids in
         match kind with
         | Node.Special ->
-            fun fr ->
-              bump cells cy;
-              let args = args_of args fr in
-              (match args with
-              | Vnull :: _ -> trap "null receiver in constructor call"
-              | _ -> ());
-              ignore (on_invoke callee args)
+            step (fun fr ->
+                let args = args_of args fr in
+                (match args with
+                | Vnull :: _ -> trap "null receiver in constructor call"
+                | _ -> ());
+                ignore (on_invoke callee args))
         | Node.Static ->
-            fun fr -> (
-              bump cells cy;
-              match on_invoke callee (args_of args fr) with
-              | Some r -> fr.rv.(d) <- r
-              | None -> ())
+            step (fun fr ->
+                match on_invoke callee (args_of args fr) with
+                | Some r -> fr.rv.(d) <- r
+                | None -> ())
         | Node.Virtual ->
             (* monomorphic inline cache: (class id, pre-resolved target),
                seeded from the receiver classes the interpreter observed at
@@ -568,72 +750,63 @@ let compile (env : Interp.env) (g : Graph.t) : code =
             let ic =
               ref (Option.map (fun (cls, tgt) -> (cls.Classfile.cls_id, tgt)) seed)
             in
-            fun fr ->
-              bump cells cy;
-              let args = args_of args fr in
-              let recv = match args with r :: _ -> r | [] -> trap "missing receiver" in
-              let target =
-                match (recv, !ic) with
-                | Vobj o, Some (cid, tgt) when o.o_cls.Classfile.cls_id = cid ->
-                    Stats.incr stats Stats.ic_hits;
-                    tgt
-                | _ ->
-                    Stats.incr stats Stats.ic_misses;
-                    let tgt = Interp.dispatch_target recv callee in
-                    (match recv with
-                    | Vobj o ->
-                        ic := Some (o.o_cls.Classfile.cls_id, tgt);
-                        if Trace.enabled () then
-                          Trace.record
-                            (Event.Ic_transition
-                               {
-                                 meth;
-                                 callee = callee.Classfile.mth_name;
-                                 cls = o.o_cls.Classfile.cls_name;
-                                 kind = Event.Ic_rebias;
-                               })
-                    | _ -> ());
-                    tgt
-              in
-              (match on_invoke target args with
-              | Some r -> fr.rv.(d) <- r
-              | None -> ()))
+            step (fun fr ->
+                let args = args_of args fr in
+                let recv = match args with r :: _ -> r | [] -> trap "missing receiver" in
+                let target =
+                  match (recv, !ic) with
+                  | Vobj o, Some (cid, tgt) when o.o_cls.Classfile.cls_id = cid ->
+                      Stats.incr stats Stats.ic_hits;
+                      tgt
+                  | _ ->
+                      Stats.incr stats Stats.ic_misses;
+                      let tgt = Interp.dispatch_target recv callee in
+                      (match recv with
+                      | Vobj o ->
+                          ic := Some (o.o_cls.Classfile.cls_id, tgt);
+                          if Trace.enabled () then
+                            Trace.record
+                              (Event.Ic_transition
+                                 {
+                                   meth;
+                                   callee = callee.Classfile.mth_name;
+                                   cls = o.o_cls.Classfile.cls_name;
+                                   kind = Event.Ic_rebias;
+                                 })
+                      | _ -> ());
+                      tgt
+                in
+                match on_invoke target args with
+                | Some r -> fr.rv.(d) <- r
+                | None -> ()))
     | Node.Instance_of (a, cls) ->
         let ra = read_v a in
-        fun fr ->
-          bump cells base;
-          set_bool fr (Interp.value_instanceof (ra fr) cls)
+        step (fun fr -> set_bool fr (Interp.value_instanceof (ra fr) cls))
     | Node.Has_class (a, cls) ->
         (* exact-class guard: no subclass walk, false for null and arrays *)
         let cid = cls.Classfile.cls_id in
         let ra = read_v a in
-        fun fr ->
-          bump cells base;
-          set_bool fr (match ra fr with Vobj o -> o.o_cls.Classfile.cls_id = cid | _ -> false)
+        step (fun fr ->
+            set_bool fr (match ra fr with Vobj o -> o.o_cls.Classfile.cls_id = cid | _ -> false))
     | Node.Check_cast (a, cls) ->
         let cls_name = cls.Classfile.cls_name in
         let ra = read_v a in
-        fun fr -> (
-          bump cells base;
-          match ra fr with
-          | Vnull -> fr.rv.(d) <- Vnull
-          | x ->
-              if Interp.value_instanceof x cls then fr.rv.(d) <- x
-              else trap "cannot cast %s to %s" (string_of_value x) cls_name)
+        step (fun fr ->
+            match ra fr with
+            | Vnull -> fr.rv.(d) <- Vnull
+            | x ->
+                if Interp.value_instanceof x cls then fr.rv.(d) <- x
+                else trap "cannot cast %s to %s" (string_of_value x) cls_name)
     | Node.Null_check a ->
         let ra = read_v a in
-        fun fr ->
-          bump cells base;
-          (match ra fr with Vnull -> trap "null dereference" | _ -> ())
+        step (fun fr -> match ra fr with Vnull -> trap "null dereference" | _ -> ())
     | Node.Print a ->
         let ra = read_v a in
-        fun fr ->
-          bump cells base;
-          on_print (ra fr)
+        step (fun fr -> on_print (ra fr))
   in
   (* the (pred -> succ) control-transfer closure: the phi parallel move for
-     that edge, resolved at compile time to one move per register file,
-     then the jump. Int and Bool phis move within [iv]; Ref phis read
+     that edge, resolved at compile time, then the jump. Int and Bool
+     phis move within [iv], from a slot or a constant; Ref phis read
      through their input's reader, boxing Int and Bool inputs. *)
   let compile_edge ~pred ~succ : frame -> Value.value option =
     let sb = Graph.block g succ in
@@ -647,36 +820,73 @@ let compile (env : Interp.env) (g : Graph.t) : code =
         in
         match find 0 sb.Graph.preds with
         | None -> fun _ -> trap "phi resolution: B%d is not a predecessor of B%d" pred succ
-        | Some idx ->
+        | Some idx -> (
             let input (p : Node.t) =
               match p.Node.op with Node.Phi ph -> ph.Node.inputs.(idx) | _ -> assert false
             in
             let ref_phis, int_phis =
               List.partition (fun (p : Node.t) -> kinds.(p.Node.id) = K_ref) phis
             in
-            let slots_of f ps = Array.of_list (List.map (fun p -> slot (f p)) ps) in
-            let idsts = slots_of (fun (p : Node.t) -> p.Node.id) int_phis in
-            let isrcs = slots_of input int_phis in
-            let rdsts = slots_of (fun (p : Node.t) -> p.Node.id) ref_phis in
-            let rsrcs = Array.of_list (List.map (fun p -> read_v (input p)) ref_phis) in
-            (* shared scratch is safe: the move makes no calls *)
-            let itmp = Array.make (Array.length idsts) 0 in
-            let rtmp = Array.make (Array.length rdsts) Vnull in
-            fun fr ->
-              let iv = fr.iv and rv = fr.rv in
-              fill rtmp rsrcs fr;
-              for i = 0 to Array.length isrcs - 1 do
-                itmp.(i) <- iv.(isrcs.(i))
-              done;
-              for i = 0 to Array.length idsts - 1 do
-                iv.(idsts.(i)) <- itmp.(i)
-              done;
-              for i = 0 to Array.length rdsts - 1 do
-                rv.(rdsts.(i)) <- rtmp.(i)
-              done;
-              bodies.(succ) fr)
+            let int_src (p : Node.t) =
+              match consts.(input p) with
+              | Some (Vint k) -> Imm k
+              | Some (Vbool b) -> Imm (Bool.to_int b)
+              | _ -> Reg (slot (input p))
+            in
+            let idsts = Array.of_list (List.map (fun (p : Node.t) -> slot p.Node.id) int_phis) in
+            let isrcs = Array.of_list (List.map int_src int_phis) in
+            match (ref_phis, idsts, isrcs) with
+            | [], [| d |], [| s |] ->
+                fun fr ->
+                  let iv = fr.iv in
+                  iv.(d) <- int_value iv s;
+                  bodies.(succ) fr
+            | [], [| d0; d1 |], [| s0; s1 |] ->
+                fun fr ->
+                  let iv = fr.iv in
+                  let x0 = int_value iv s0 and x1 = int_value iv s1 in
+                  iv.(d0) <- x0;
+                  iv.(d1) <- x1;
+                  bodies.(succ) fr
+            | _ ->
+                let rdsts = Array.of_list (List.map (fun (p : Node.t) -> slot p.Node.id) ref_phis) in
+                let rsrcs = Array.of_list (List.map (fun p -> read_v (input p)) ref_phis) in
+                (* shared scratch is safe: the move makes no calls, and
+                   each VM runs on one domain at a time *)
+                let itmp = Array.make (Array.length idsts) 0 in
+                let rtmp = Array.make (Array.length rdsts) Vnull in
+                fun fr ->
+                  let iv = fr.iv and rv = fr.rv in
+                  fill rtmp rsrcs fr;
+                  for i = 0 to Array.length isrcs - 1 do
+                    itmp.(i) <- int_value iv isrcs.(i)
+                  done;
+                  for i = 0 to Array.length idsts - 1 do
+                    iv.(idsts.(i)) <- itmp.(i)
+                  done;
+                  for i = 0 to Array.length rdsts - 1 do
+                    rv.(rdsts.(i)) <- rtmp.(i)
+                  done;
+                  bodies.(succ) fr))
   in
-  let compile_term (b : Graph.block) : frame -> Value.value option =
+  (* the typed compare an [If] evaluates in its terminator: its
+     condition, when that is the block's last instruction with a step *)
+  let fused_cmp (b : Graph.block) =
+    match b.Graph.term with
+    | Graph.If { cond; _ } -> (
+        let last =
+          Pea_support.Dyn_array.fold_left
+            (fun acc (n : Node.t) ->
+              match n.Node.op with Node.Const _ | Node.Param _ -> acc | _ -> Some n)
+            None b.Graph.instrs
+        in
+        match last with
+        | Some { Node.id; op = Node.Cmp (c, a, b); _ } when id = cond ->
+            typed_cmp c (int_operand a) (int_operand b)
+        | _ -> None)
+    | _ -> None
+  in
+  let compile_term (b : Graph.block) fused : frame -> Value.value option =
     match b.Graph.term with
     | Graph.Return None -> fun _ -> None
     | Graph.Return (Some x) ->
@@ -689,52 +899,57 @@ let compile (env : Interp.env) (g : Graph.t) : code =
     | Graph.If { cond; tru; fls; _ } -> (
         let et = compile_edge ~pred:b.Graph.b_id ~succ:tru in
         let ef = compile_edge ~pred:b.Graph.b_id ~succ:fls in
-        match kinds.(cond) with
-        | K_bool ->
+        match (fused, consts.(cond), kinds.(cond)) with
+        | Some t, _, _ -> cmp_branch (slot cond) t et ef
+        | None, Some (Vbool k), _ -> if k then et else ef
+        | None, None, K_bool ->
             let c = slot cond in
-            fun fr ->
-              charge_branch cells;
-              if fr.iv.(c) <> 0 then et fr else ef fr
+            fun fr -> if fr.iv.(c) <> 0 then et fr else ef fr
         | _ ->
             let rc = read_b cond in
-            fun fr ->
-              charge_branch cells;
-              if rc fr then et fr else ef fr)
+            fun fr -> if rc fr then et fr else ef fr)
+  in
+  (* A block's segments, in order, as (compiled ops, cycles, steps): each
+     impure instruction closes one, and the trailing one (possibly
+     empty) takes the branch cycles of an [If]. The first segment is
+     charged on block entry, every later one by a step at its start. *)
+  let compile_block (b : Graph.block) =
+    let fused = fused_cmp b in
+    let term = compile_term b fused in
+    let segments = ref [] and ops = ref 0 and cy = ref 0 and steps = ref [] in
+    let close () =
+      segments := (!ops, !cy, List.rev !steps) :: !segments;
+      ops := 0;
+      cy := 0;
+      steps := []
+    in
+    Pea_support.Dyn_array.iter
+      (fun (n : Node.t) ->
+        incr ops;
+        cy := !cy + cost n;
+        (match (fused, b.Graph.term) with
+        | Some _, Graph.If { cond; _ } when cond = n.Node.id -> ()
+        | _ -> Option.iter (fun f -> steps := f :: !steps) (compile_instr n));
+        if not (pure n) then close ())
+      b.Graph.instrs;
+    (match b.Graph.term with Graph.If _ -> cy := !cy + base | _ -> ());
+    close ();
+    match List.rev !segments with
+    | [] -> assert false
+    | (ops, cy, first) :: later ->
+        let later =
+          List.concat_map
+            (fun (ops, cy, steps) ->
+              if ops = 0 && cy = 0 then steps else (fun _ -> charge cells ops cy) :: steps)
+            later
+        in
+        block_closure cells ~bci:block_bcis.(b.Graph.b_id) ~ops ~cy
+          (Array.of_list (first @ later))
+          term
   in
   let reachable = Graph.reachable g in
   Graph.iter_blocks
-    (fun b ->
-      if reachable.(b.Graph.b_id) then begin
-        let term = compile_term b in
-        let fused =
-          Pea_support.Dyn_array.fold_left
-            (fun acc n ->
-              let f = compile_instr n in
-              match acc with
-              | None -> Some f
-              | Some chain ->
-                  Some
-                    (fun fr ->
-                      chain fr;
-                      f fr))
-            None b.Graph.instrs
-        in
-        (* profiler safepoint on block entry: edge phi moves charge no
-           cycles, so this poll reads the clock value at block entry *)
-        let sample_bci = block_bcis.(b.Graph.b_id) in
-        let inner =
-          match fused with
-          | None -> term
-          | Some body ->
-              fun fr ->
-                body fr;
-                term fr
-        in
-        bodies.(b.Graph.b_id) <-
-          (fun fr ->
-            if Pea_obs.Profile_cpu.enabled () then Pea_obs.Profile_cpu.poll sample_bci;
-            inner fr)
-      end)
+    (fun b -> if reachable.(b.Graph.b_id) then bodies.(b.Graph.b_id) <- compile_block b)
     g;
   let binder (p : Node.t) : frame -> Value.value -> unit =
     let s = slot p.Node.id in

@@ -570,7 +570,7 @@ let create ?(config = Jit.default_config) (program : Link.program) : t =
      (each VM's counter starts at zero, so the sampling grid restarts
      with it); like Trace.set_clock wiring in bin/mjvm.ml, last VM wins *)
   (match Pcpu.installed () with
-  | Some p -> Pcpu.set_clock p (fun () -> Stats.get stats Stats.cycles)
+  | Some p -> Pcpu.set_clock p (Stats.cells stats) (Stats.slot Stats.cycles)
   | None -> ());
   let heap = Heap.create stats in
   let profile = Profile.create program in
